@@ -210,10 +210,14 @@ func BenchmarkEvaluatorMakespan(b *testing.B) {
 	}
 }
 
-// BenchmarkDeltaMoveMakespan measures one incremental candidate
-// evaluation — a checkpointed suffix replay — on the same workload and
-// solution as BenchmarkEvaluatorMakespan, for a like-for-like comparison
-// of the two ways to score a move.
+// BenchmarkDeltaMoveMakespan measures incremental candidate evaluation —
+// checkpointed suffix replays — on the same workload and solution as
+// BenchmarkEvaluatorMakespan, for a like-for-like comparison of the two
+// ways to score a move. same-machine scores one move per op and keeps
+// the gene's machine; Y-scan scores one SE allocation per op — every
+// insertion point of a task times all of its machines under the running
+// bound, as core's bestMoveDelta does — so it takes the machine-change
+// branch and the memoized before-q prefix.
 func BenchmarkDeltaMoveMakespan(b *testing.B) {
 	w := benchWorkload(100, 20)
 	d := schedule.NewDeltaEvaluator(w.Graph, w.System)
@@ -222,14 +226,35 @@ func BenchmarkDeltaMoveMakespan(b *testing.B) {
 	n := w.Graph.NumTasks()
 	pos := make([]int, n)
 	s.Positions(pos)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		idx := i % n
-		lo, hi := schedule.ValidRange(w.Graph, s, pos, idx)
-		q := lo + (i % (hi - lo + 1))
-		m := s[idx].Machine
-		d.MoveMakespan(idx, q, m, schedule.NoBound, schedule.NoBound)
-	}
+	b.Run("same-machine", func(b *testing.B) {
+		genes := d.Counts().Genes
+		for i := 0; i < b.N; i++ {
+			idx := i % n
+			lo, hi := schedule.ValidRange(w.Graph, s, pos, idx)
+			q := lo + (i % (hi - lo + 1))
+			m := s[idx].Machine
+			d.MoveMakespan(idx, q, m, schedule.NoBound, schedule.NoBound)
+		}
+		b.ReportMetric(float64(d.Counts().Genes-genes)/float64(b.N), "genes/op")
+	})
+	b.Run("Y-scan", func(b *testing.B) {
+		genes := d.Counts().Genes
+		for i := 0; i < b.N; i++ {
+			idx := i % n
+			lo, hi := schedule.ValidRange(w.Graph, s, pos, idx)
+			machines := w.System.TopMachines(s[idx].Task, 0)
+			boundMs, boundTotal := schedule.NoBound, schedule.NoBound
+			for q := lo; q <= hi; q++ {
+				for _, m := range machines {
+					// Under the bound only a strictly better key survives.
+					if ms, total, ok := d.MoveMakespan(idx, q, m, boundMs, boundTotal); ok {
+						boundMs, boundTotal = ms, total
+					}
+				}
+			}
+		}
+		b.ReportMetric(float64(d.Counts().Genes-genes)/float64(b.N), "genes/op")
+	})
 }
 
 // BenchmarkSEAllocationDeltaVsFull ablates the incremental evaluation

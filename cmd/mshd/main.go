@@ -10,6 +10,7 @@
 //	mshd -addr :8037 -max-sessions 128 -idle-timeout 30m
 //	mshd -addr :8037 -access-log -debug-addr localhost:8038
 //	mshd -addr :8037 -data-dir /var/lib/mshd
+//	mshd -addr :8037 -read-header-timeout 5s -read-timeout 30s
 //
 // Quickstart (see README.md "Serving" for the full walkthrough):
 //
@@ -31,6 +32,11 @@
 // propagated X-Request-ID. -debug-addr additionally serves net/http/pprof
 // on a separate listener (off by default — profiling endpoints stay off
 // the service port).
+//
+// Request bounds: -read-header-timeout (default 10s) and -read-timeout
+// (default 1m) drop a client whose request headers, or whole request,
+// take longer than that to arrive; a handler is not timed out once its
+// request is read.
 package main
 
 import (
@@ -61,6 +67,8 @@ func main() {
 		fsync       = flag.String("fsync", "always", "store fsync policy: always (fsync every append) or never (leave flushing to the OS)")
 		accessLog   = flag.Bool("access-log", false, "log one structured line per request to stderr")
 		debugAddr   = flag.String("debug-addr", "", "serve net/http/pprof (plus /metrics and /debug/vars) on this separate address; empty = off")
+		readHeader  = flag.Duration("read-header-timeout", 10*time.Second, "drop a connection whose request headers take longer than this to arrive (0 = no limit)")
+		readBody    = flag.Duration("read-timeout", time.Minute, "drop a connection whose whole request, body included, takes longer than this to arrive (0 = no limit)")
 	)
 	flag.Parse()
 
@@ -91,10 +99,7 @@ func main() {
 	if *accessLog {
 		server.SetAccessLog(slog.New(slog.NewTextHandler(os.Stderr, nil)))
 	}
-	srv := &http.Server{
-		Addr:    *addr,
-		Handler: server,
-	}
+	srv := httpServer(*addr, server, *readHeader, *readBody)
 
 	if *debugAddr != "" {
 		go func() {
@@ -145,6 +150,19 @@ func main() {
 // the same metrics exports the service port mounts, so a profiling
 // session needs only one address. Handlers are mounted explicitly — the
 // pprof package's DefaultServeMux side effects stay unused.
+// httpServer is the service listener: the read timeouts bound how long a
+// slow or stalled client can hold a connection before its request has
+// arrived. Handlers run unbounded once the request is read — long runs
+// and streams are the service's job — so no write timeout is set.
+func httpServer(addr string, h http.Handler, readHeaderTimeout, readTimeout time.Duration) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+	}
+}
+
 func debugMux(mgr *serve.Manager) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

@@ -9,6 +9,7 @@ package platform
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/taskgraph"
@@ -24,8 +25,13 @@ type System struct {
 
 	exec [][]float64 // exec[m][t], all > 0
 
-	// transfer[pairIndex(a,b)][d] for a < b; symmetric, intra-machine = 0.
-	transfer [][]float64
+	// transfer is the flat transfer table: row 0 is all zeros (transfers
+	// within one machine are free) and row PairIndex(a,b)+1 holds item d's
+	// time at transfer[(PairIndex(a,b)+1)*items+d]. rowOff[a*machines+b]
+	// is the start of the row for the ordered pair (a,b), pre-multiplied
+	// by items — 0 when a == b — so a lookup is one branch-free load.
+	transfer []float64
+	rowOff   []int32
 
 	// ranked[t] = machines sorted by ascending exec[m][t]; ranked[t][0] is
 	// the task's best-matching machine. Backs the SE Y parameter and the
@@ -56,10 +62,15 @@ func New(numTasks, numItems int, exec [][]float64, transfer [][]float64) (*Syste
 		}
 	}
 	pairs := l * (l - 1) / 2
+	var flat []float64
 	if numItems > 0 {
 		if len(transfer) != pairs {
 			return nil, fmt.Errorf("platform: transfer has %d rows, want %d machine pairs", len(transfer), pairs)
 		}
+		if (pairs+1)*numItems > math.MaxInt32 {
+			return nil, fmt.Errorf("platform: transfer table of %d pairs × %d items too large", pairs, numItems)
+		}
+		flat = make([]float64, (pairs+1)*numItems)
 		for p, row := range transfer {
 			if len(row) != numItems {
 				return nil, fmt.Errorf("platform: transfer row %d has %d entries, want %d", p, len(row), numItems)
@@ -69,14 +80,31 @@ func New(numTasks, numItems int, exec [][]float64, transfer [][]float64) (*Syste
 					return nil, fmt.Errorf("platform: transfer[%d][%d] = %v, want >= 0", p, d, v)
 				}
 			}
+			copy(flat[(p+1)*numItems:], row)
 		}
 	}
+	return build(numTasks, numItems, deepCopy(exec), flat), nil
+}
+
+// build assembles a System around validated storage it takes ownership
+// of: exec is the l×k execution matrix and flat the transfer table in the
+// layout of System.transfer (nil when numItems is 0).
+func build(numTasks, numItems int, exec [][]float64, flat []float64) *System {
+	l := len(exec)
 	s := &System{
 		machines: l,
 		tasks:    numTasks,
 		items:    numItems,
-		exec:     deepCopy(exec),
-		transfer: deepCopy(transfer),
+		exec:     exec,
+		transfer: flat,
+		rowOff:   make([]int32, l*l),
+	}
+	for a := 0; a < l; a++ {
+		for b := a + 1; b < l; b++ {
+			off := int32((s.PairIndex(taskgraph.MachineID(a), taskgraph.MachineID(b)) + 1) * numItems)
+			s.rowOff[a*l+b] = off
+			s.rowOff[b*l+a] = off
+		}
 	}
 	s.ranked = make([][]taskgraph.MachineID, numTasks)
 	for t := 0; t < numTasks; t++ {
@@ -89,7 +117,7 @@ func New(numTasks, numItems int, exec [][]float64, transfer [][]float64) (*Syste
 		})
 		s.ranked[t] = ms
 	}
-	return s, nil
+	return s
 }
 
 // MustNew is New for statically known-good inputs; it panics on error.
@@ -140,10 +168,18 @@ func (s *System) ExecTime(m taskgraph.MachineID, t taskgraph.TaskID) float64 {
 // TransferTime returns the time to move data item d from machine a to
 // machine b (zero when a == b).
 func (s *System) TransferTime(a, b taskgraph.MachineID, d taskgraph.ItemID) float64 {
-	if a == b {
-		return 0
-	}
-	return s.transfer[s.PairIndex(a, b)][d]
+	return s.transfer[int(s.rowOff[int(a)*s.machines+int(b)])+int(d)]
+}
+
+// TransferRow returns the flat transfer table together with the row
+// offsets for destination machine dst: the time to move item d from
+// machine a to dst is tr[int(off[a])+int(d)], equal to
+// TransferTime(a, dst, d). Hot loops that price every predecessor of one
+// task on one machine hoist this lookup out of the predecessor loop. The
+// caller must not modify either slice.
+func (s *System) TransferRow(dst taskgraph.MachineID) (tr []float64, off []int32) {
+	l := s.machines
+	return s.transfer, s.rowOff[int(dst)*l : (int(dst)+1)*l]
 }
 
 // BestMachine returns the machine with the smallest execution time for t
@@ -192,7 +228,7 @@ func (s *System) MeanTransferTime(d taskgraph.ItemID) float64 {
 	}
 	sum := 0.0
 	for p := 0; p < pairs; p++ {
-		sum += s.transfer[p][d]
+		sum += s.transfer[(p+1)*s.items+int(d)]
 	}
 	return sum / float64(pairs)
 }
@@ -200,5 +236,16 @@ func (s *System) MeanTransferTime(d taskgraph.ItemID) float64 {
 // ExecMatrix returns a deep copy of E, for serialization.
 func (s *System) ExecMatrix() [][]float64 { return deepCopy(s.exec) }
 
-// TransferMatrix returns a deep copy of Tr, for serialization.
-func (s *System) TransferMatrix() [][]float64 { return deepCopy(s.transfer) }
+// TransferMatrix returns a copy of Tr in New's [pair][item] layout, for
+// serialization. It is nil when the System has no data items.
+func (s *System) TransferMatrix() [][]float64 {
+	if s.items == 0 {
+		return nil
+	}
+	pairs := s.machines * (s.machines - 1) / 2
+	out := make([][]float64, pairs)
+	for p := range out {
+		out[p] = append([]float64(nil), s.transfer[(p+1)*s.items:(p+2)*s.items]...)
+	}
+	return out
+}

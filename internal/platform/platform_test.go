@@ -1,6 +1,10 @@
 package platform
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -231,6 +235,9 @@ func TestNewErrors(t *testing.T) {
 		{"missing transfer rows", 1, 1, [][]float64{{1}, {1}}, nil, "transfer has"},
 		{"ragged transfer", 1, 2, [][]float64{{1}, {1}}, [][]float64{{1}}, "transfer row"},
 		{"negative transfer", 1, 1, [][]float64{{1}, {1}}, [][]float64{{-1}}, "want >= 0"},
+		// Two rows of 2^30 items overflow the table's int32 row offsets;
+		// the size is rejected before any row is read or copied.
+		{"oversized transfer table", 1, 1 << 30, [][]float64{{1}, {1}}, [][]float64{nil}, "too large"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -265,4 +272,100 @@ func TestMustNewPanics(t *testing.T) {
 		}
 	}()
 	MustNew(1, 0, nil, nil)
+}
+
+// TestFlatTransferLayout pins the flat transfer table against the
+// [pair][item] matrix New was given: every lookup path — TransferTime,
+// the hoisted TransferRow, TransferMatrix, MeanTransferTime and
+// Subsystem — must reproduce the input bit for bit, and same-machine
+// transfers must read as exactly +0.
+func TestFlatTransferLayout(t *testing.T) {
+	for _, l := range []int{1, 2, 5, 20} {
+		for _, items := range []int{0, 7} {
+			t.Run(fmt.Sprintf("l=%d/items=%d", l, items), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(l*100 + items)))
+				exec := make([][]float64, l)
+				for m := range exec {
+					exec[m] = []float64{1 + rng.Float64(), 1 + rng.Float64()}
+				}
+				pairs := l * (l - 1) / 2
+				var transfer [][]float64
+				if items > 0 {
+					transfer = make([][]float64, pairs)
+					for p := range transfer {
+						transfer[p] = make([]float64, items)
+						for d := range transfer[p] {
+							transfer[p][d] = rng.Float64() * 100
+						}
+					}
+				}
+				s, err := New(2, items, exec, transfer)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for a := 0; a < l; a++ {
+					for b := 0; b < l; b++ {
+						ma, mb := taskgraph.MachineID(a), taskgraph.MachineID(b)
+						tr, off := s.TransferRow(mb)
+						for d := 0; d < items; d++ {
+							got := s.TransferTime(ma, mb, taskgraph.ItemID(d))
+							want := 0.0
+							if a != b {
+								want = transfer[s.PairIndex(ma, mb)][d]
+							}
+							if got != want || math.Signbit(got) {
+								t.Fatalf("TransferTime(%d,%d,%d) = %v, want %v", a, b, d, got, want)
+							}
+							if row := tr[int(off[a])+d]; row != got {
+								t.Fatalf("TransferRow(%d) item %d from %d = %v, TransferTime %v", b, d, a, row, got)
+							}
+						}
+					}
+				}
+				if !reflect.DeepEqual(s.TransferMatrix(), transfer) {
+					t.Fatalf("TransferMatrix() = %v, want the input %v", s.TransferMatrix(), transfer)
+				}
+				for d := 0; d < items; d++ {
+					want := 0.0
+					if pairs > 0 {
+						for p := 0; p < pairs; p++ {
+							want += transfer[p][d]
+						}
+						want /= float64(pairs)
+					}
+					if got := s.MeanTransferTime(taskgraph.ItemID(d)); got != want {
+						t.Fatalf("MeanTransferTime(%d) = %v, want %v", d, got, want)
+					}
+				}
+
+				// A subsystem over every item in reverse order must see item
+				// i as the parent's item items-1-i.
+				all := make([]taskgraph.ItemID, items)
+				for i := range all {
+					all[i] = taskgraph.ItemID(items - 1 - i)
+				}
+				sub, err := s.Subsystem([]taskgraph.TaskID{1, 0}, all)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var wantSub [][]float64
+				if items > 0 {
+					wantSub = make([][]float64, pairs)
+					for p := range wantSub {
+						for _, d := range all {
+							wantSub[p] = append(wantSub[p], transfer[p][d])
+						}
+					}
+				}
+				if !reflect.DeepEqual(sub.TransferMatrix(), wantSub) {
+					t.Fatalf("Subsystem TransferMatrix() = %v, want %v", sub.TransferMatrix(), wantSub)
+				}
+				for m := 0; m < l; m++ {
+					if got := sub.ExecMatrix()[m]; got[0] != exec[m][1] || got[1] != exec[m][0] {
+						t.Fatalf("Subsystem exec row %d = %v, want the parent's reversed %v", m, got, exec[m])
+					}
+				}
+			})
+		}
+	}
 }

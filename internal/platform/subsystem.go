@@ -14,6 +14,9 @@ import (
 // region can be scheduled by any unchanged scheduler, machine IDs staying
 // globally meaningful.
 func (s *System) Subsystem(tasks []taskgraph.TaskID, items []taskgraph.ItemID) (*System, error) {
+	if len(tasks) == 0 {
+		return nil, fmt.Errorf("platform: Subsystem: no tasks")
+	}
 	for _, t := range tasks {
 		if t < 0 || int(t) >= s.tasks {
 			return nil, fmt.Errorf("platform: Subsystem: task %d out of range [0,%d)", t, s.tasks)
@@ -32,17 +35,16 @@ func (s *System) Subsystem(tasks []taskgraph.TaskID, items []taskgraph.ItemID) (
 		}
 		exec[m] = row
 	}
-	var transfer [][]float64
+	var flat []float64
 	if len(items) > 0 {
 		pairs := s.machines * (s.machines - 1) / 2
-		transfer = make([][]float64, pairs)
-		for p := 0; p < pairs; p++ {
-			row := make([]float64, len(items))
+		flat = make([]float64, (pairs+1)*len(items))
+		for p := 1; p <= pairs; p++ {
+			row := s.transfer[p*s.items:]
 			for i, d := range items {
-				row[i] = s.transfer[p][d]
+				flat[p*len(items)+i] = row[d]
 			}
-			transfer[p] = row
 		}
 	}
-	return New(len(tasks), len(items), exec, transfer)
+	return build(len(tasks), len(items), exec, flat), nil
 }

@@ -101,6 +101,12 @@ type DeltaEvaluator struct {
 	baseMs     float64
 	baseTotal  float64
 
+	// succReach[t] is one past the greatest base position among t's
+	// successors (0 when t has none): the divergence frontier a diverged
+	// finish time of t pushes out to. It depends only on basePos, so Pin
+	// builds it and CommitMove refreshes it; replays read it as one load.
+	succReach []int
+
 	// Checkpoint c holds the evaluation state after the first c*stride
 	// genes of base: ready times per machine (flattened rows of ckReady),
 	// the running makespan and the running finish-time sum. The prefix
@@ -172,6 +178,7 @@ func NewDeltaEvaluator(g *taskgraph.Graph, sys *platform.System) *DeltaEvaluator
 		basePos:    make([]int, n),
 		baseFinish: make([]float64, n),
 		baseAssign: make([]taskgraph.MachineID, n),
+		succReach:  make([]int, n),
 		stride:     stride,
 		ckReady:    make([]float64, numCk*l),
 		ckMax:      make([]float64, numCk),
@@ -232,11 +239,16 @@ func (d *DeltaEvaluator) Pin(s String) (makespan, total float64) {
 		d.basePos[t] = i
 		d.baseAssign[t] = m
 		d.lastUse[m] = i
+		d.succReach[t] = 0
 		start := ready[m]
+		tr, off := d.sys.TransferRow(m)
 		for _, p := range d.g.Preds(t) {
 			// Predecessors precede t in the string (topological order), so
-			// their finish times and machines are already set.
-			arr := d.baseFinish[p.Task] + d.sys.TransferTime(d.baseAssign[p.Task], m, p.Item)
+			// their finish times and machines are already set. Positions
+			// only grow, so the last successor to write a predecessor's
+			// reach is its furthest one.
+			d.succReach[p.Task] = i + 1
+			arr := d.baseFinish[p.Task] + tr[int(off[d.baseAssign[p.Task]])+int(p.Item)]
 			if arr > start {
 				start = arr
 			}
@@ -359,6 +371,11 @@ func (d *DeltaEvaluator) MoveMakespan(idx, q int, m taskgraph.MachineID, boundMs
 	}
 	movedT := d.base[idx].Task
 	movedM := m
+	// For the replay's duration baseAssign holds the moved task on its
+	// candidate machine, so the predecessor loop reads every machine from
+	// one array; savedM is its base machine, restored after the loop.
+	savedM := d.baseAssign[movedT]
+	d.baseAssign[movedT] = movedM
 	hi := q
 	if idx > hi {
 		hi = idx
@@ -374,7 +391,7 @@ func (d *DeltaEvaluator) MoveMakespan(idx, q int, m taskgraph.MachineID, boundMs
 	lastCk := ((n - 1) / stride) * stride
 	track := maxInfl < lastCk
 	base, work, ready := d.base, d.work, d.ready
-	baseFinish, baseAssign := d.baseFinish, d.baseAssign
+	baseFinish, baseAssign, succReach := d.baseFinish, d.baseAssign, d.succReach
 	steps := 0
 	start := from
 	if useMemo {
@@ -435,17 +452,15 @@ func (d *DeltaEvaluator) MoveMakespan(idx, q int, m taskgraph.MachineID, boundMs
 				copy(d.memo.ready, ready)
 				d.memo.valid = true
 			}
-			if track && movedM != baseAssign[movedT] {
+			if track && movedM != savedM {
 				// A machine change diverges the moved task's successors
 				// through their transfer times even when its finish time
 				// happens to tie the base value exactly, so the
 				// finish-equality test below cannot be trusted for it —
 				// extend the frontier unconditionally. (Per candidate, not
 				// memoized: the machine varies across the memo's users.)
-				for _, sc := range d.g.Succs(movedT) {
-					if sp := d.basePos[sc.Task] + 1; sp > maxInfl {
-						maxInfl = sp
-					}
+				if r := succReach[movedT]; r > maxInfl {
+					maxInfl = r
 				}
 				if maxInfl >= lastCk {
 					track = false
@@ -461,12 +476,9 @@ func (d *DeltaEvaluator) MoveMakespan(idx, q int, m taskgraph.MachineID, boundMs
 		}
 
 		st := ready[mm]
+		tr, off := d.sys.TransferRow(mm)
 		for _, pr := range d.g.Preds(t) {
-			pm := baseAssign[pr.Task]
-			if pr.Task == movedT {
-				pm = movedM
-			}
-			arr := work[pr.Task] + d.sys.TransferTime(pm, mm, pr.Item)
+			arr := work[pr.Task] + tr[int(off[baseAssign[pr.Task]])+int(pr.Item)]
 			if arr > st {
 				st = arr
 			}
@@ -476,10 +488,8 @@ func (d *DeltaEvaluator) MoveMakespan(idx, q int, m taskgraph.MachineID, boundMs
 		ready[mm] = f
 		steps++
 		if track && f != baseFinish[t] {
-			for _, sc := range d.g.Succs(t) {
-				if sp := d.basePos[sc.Task] + 1; sp > maxInfl {
-					maxInfl = sp
-				}
+			if r := succReach[t]; r > maxInfl {
+				maxInfl = r
 			}
 			if maxInfl >= lastCk {
 				track = false
@@ -499,6 +509,7 @@ func (d *DeltaEvaluator) MoveMakespan(idx, q int, m taskgraph.MachineID, boundMs
 		}
 	}
 
+	baseAssign[movedT] = savedM
 	d.counts.Delta++
 	d.counts.Genes += uint64(steps)
 	if !ok {
@@ -515,10 +526,10 @@ func (d *DeltaEvaluator) MoveMakespan(idx, q int, m taskgraph.MachineID, boundMs
 // CommitMove rebases the evaluator onto the string the immediately
 // preceding successful MoveMakespan evaluated, without re-evaluating
 // anything: the work array already holds every affected finish time, so
-// only the base string, positions and checkpoints need updating — a walk
-// of the suffix with no predecessor or transfer-time work. It returns the
-// new base's makespan and total finish time (identical to what that
-// MoveMakespan returned).
+// only the base string, positions, successor reach and checkpoints need
+// updating — walks of the suffix with no transfer-time or finish-time
+// work. It returns the new base's makespan and total finish time
+// (identical to what that MoveMakespan returned).
 //
 // This is the accept path of SA and tabu: evaluate a candidate with
 // MoveMakespan, and if the search adopts it, CommitMove instead of a full
@@ -544,6 +555,7 @@ func (d *DeltaEvaluator) CommitMove(idx, q int, m taskgraph.MachineID) (makespan
 		d.base[q] = gene
 	}
 	UpdatePositions(d.basePos, d.base, idx, q)
+	d.refreshReach(min(idx, q))
 
 	// One walk of [from, n) — every shifted position is ≥ from because
 	// from ≤ min(idx, q) — adopts the replayed finish times, re-derives
@@ -552,7 +564,8 @@ func (d *DeltaEvaluator) CommitMove(idx, q int, m taskgraph.MachineID) (makespan
 	// convergence cutoff consults. A machine whose tasks all sit before
 	// from keeps its lastUse; one that lost its last task to the move may
 	// keep a stale-high value, which only makes tailConverged check an
-	// extra machine — conservative, never unsound.
+	// extra machine — conservative, never unsound, though later replays
+	// may step more genes than after a fresh Pin.
 	l := d.sys.NumMachines()
 	c := from / d.stride
 	copy(d.ready, d.ckReady[c*l:(c+1)*l])
@@ -580,6 +593,22 @@ func (d *DeltaEvaluator) CommitMove(idx, q int, m taskgraph.MachineID) (makespan
 	d.lastMove.valid = false
 	d.memo.valid = false
 	return d.baseMs, d.baseTotal
+}
+
+// refreshReach rebuilds succReach after positions from lo onward changed.
+// A task's reach changes only through successors at ≥ lo, so walking
+// [lo, n) suffices: each task there is reset, then overwritten by its
+// successors in increasing position order, leaving the furthest one.
+// Tasks before lo whose successors all sit before lo keep their reach,
+// which no position change touched.
+func (d *DeltaEvaluator) refreshReach(lo int) {
+	for j := lo; j < len(d.base); j++ {
+		t := d.base[j].Task
+		d.succReach[t] = 0
+		for _, p := range d.g.Preds(t) {
+			d.succReach[p.Task] = j + 1
+		}
+	}
 }
 
 // LCP returns the number of leading genes s shares with the pinned base
@@ -635,6 +664,7 @@ func (d *DeltaEvaluator) replayFrom(s String, lcp int, bound float64) (makespan,
 	for j := from; j < len(s); j++ {
 		t, m := s[j].Task, s[j].Machine
 		start := d.ready[m]
+		tr, off := d.sys.TransferRow(m)
 		for _, p := range d.g.Preds(t) {
 			// A predecessor before the replay start is clean base state in
 			// work; one at or after it was stepped earlier in this replay.
@@ -646,7 +676,7 @@ func (d *DeltaEvaluator) replayFrom(s String, lcp int, bound float64) (makespan,
 			} else {
 				pm = d.assign[p.Task]
 			}
-			arr := d.work[p.Task] + d.sys.TransferTime(pm, m, p.Item)
+			arr := d.work[p.Task] + tr[int(off[pm])+int(p.Item)]
 			if arr > start {
 				start = arr
 			}

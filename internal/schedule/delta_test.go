@@ -3,6 +3,7 @@ package schedule_test
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -346,22 +347,50 @@ func TestDeltaTotalBoundNeverAbortsWinners(t *testing.T) {
 func TestDeltaCommitMoveEquivalentToRepin(t *testing.T) {
 	// Committing an evaluated move must leave the evaluator in exactly the
 	// state a full Pin of the moved string would: same base makespan and
-	// totals, and identical answers for subsequent moves.
+	// totals, and identical answers for subsequent moves. The probes after
+	// each commit check that second half on the committed evaluator and a
+	// freshly pinned one side by side — result and genes stepped alike, so
+	// stale replay state (positions, successor reach, checkpoints) shows up
+	// even where it happens not to change a makespan.
+	//
+	// The one documented exception is machine usage: a machine that loses
+	// its last suffix task to a commit keeps a stale-high last-use
+	// position, which can only make the convergence cutoff fire later.
+	// lastUse models that bookkeeping; while it differs from the exact
+	// usage of the committed string, the committed evaluator may step more
+	// genes than the fresh one, never fewer.
 	f := func(seed int64) bool {
 		w := randomWorkload(seed)
 		rng := rand.New(rand.NewSource(seed ^ 0xc037))
 		s := randomSolution(w, rng)
+		l := w.System.NumMachines()
 		full := schedule.NewEvaluator(w.Graph, w.System)
 		committed := schedule.NewDeltaEvaluator(w.Graph, w.System)
+		fresh := schedule.NewDeltaEvaluator(w.Graph, w.System)
 		committed.Pin(s)
+		usage := func(s schedule.String, from int, into []int) {
+			for j := from; j < len(s); j++ {
+				into[s[j].Machine] = j
+			}
+		}
+		exactUsage := func(s schedule.String) []int {
+			u := make([]int, l)
+			for i := range u {
+				u[i] = -1
+			}
+			usage(s, 0, u)
+			return u
+		}
+		lastUse := exactUsage(s)
 		pos := make([]int, len(s))
-		for trial := 0; trial < 12; trial++ {
-			idx := rng.Intn(len(s))
+		randomMove := func() (idx, q int, m taskgraph.MachineID) {
+			idx = rng.Intn(len(s))
 			s.Positions(pos)
 			lo, hi := schedule.ValidRange(w.Graph, s, pos, idx)
-			q := lo + rng.Intn(hi-lo+1)
-			m := taskgraph.MachineID(rng.Intn(w.System.NumMachines()))
-
+			return idx, lo + rng.Intn(hi-lo+1), taskgraph.MachineID(rng.Intn(l))
+		}
+		for trial := 0; trial < 12; trial++ {
+			idx, q, m := randomMove()
 			wantMs, wantTotal, ok := committed.MoveMakespan(idx, q, m, schedule.NoBound, schedule.NoBound)
 			if !ok {
 				t.Fatal("unbounded replay aborted")
@@ -371,6 +400,9 @@ func TestDeltaCommitMoveEquivalentToRepin(t *testing.T) {
 				t.Fatalf("CommitMove = (%v,%v), MoveMakespan said (%v,%v)", gotMs, gotTotal, wantMs, wantTotal)
 			}
 			s = schedule.Moved(s, idx, q, m)
+			stride := committed.Stride()
+			usage(s, min(idx, q)/stride*stride, lastUse)
+			staleUse := !slices.Equal(lastUse, exactUsage(s))
 			if fullMs, fullTotal := full.MakespanTotal(s); gotMs != fullMs || gotTotal != fullTotal {
 				t.Fatalf("committed base = (%v,%v), full evaluator (%v,%v)", gotMs, gotTotal, fullMs, fullTotal)
 			}
@@ -378,6 +410,29 @@ func TestDeltaCommitMoveEquivalentToRepin(t *testing.T) {
 			for i := range s {
 				if base[i] != s[i] {
 					t.Fatalf("committed base differs from moved string at gene %d", i)
+				}
+			}
+
+			fresh.Pin(s)
+			for probe := 0; probe < 6; probe++ {
+				pIdx, pQ, pM := randomMove()
+				if probe%2 == 1 && l > 1 && pM == s[pIdx].Machine {
+					pM = (pM + 1) % taskgraph.MachineID(l)
+				}
+				boundMs, boundTotal := schedule.NoBound, schedule.NoBound
+				if probe >= 3 {
+					boundMs, boundTotal = gotMs, gotTotal
+				}
+				cBefore, fBefore := committed.Counts().Genes, fresh.Counts().Genes
+				cMs, cTotal, cOK := committed.MoveMakespan(pIdx, pQ, pM, boundMs, boundTotal)
+				fMs, fTotal, fOK := fresh.MoveMakespan(pIdx, pQ, pM, boundMs, boundTotal)
+				if cMs != fMs || cTotal != fTotal || cOK != fOK {
+					t.Fatalf("trial %d probe %d MoveMakespan(%d,%d,m%d): committed (%v,%v,%v), fresh pin (%v,%v,%v)",
+						trial, probe, pIdx, pQ, pM, cMs, cTotal, cOK, fMs, fTotal, fOK)
+				}
+				if cg, fg := committed.Counts().Genes-cBefore, fresh.Counts().Genes-fBefore; cg != fg && (!staleUse || cg < fg) {
+					t.Fatalf("trial %d probe %d MoveMakespan(%d,%d,m%d): committed stepped %d genes, fresh pin %d",
+						trial, probe, pIdx, pQ, pM, cg, fg)
 				}
 			}
 		}

@@ -79,10 +79,11 @@ func (e *Evaluator) FinishInto(s String, out []float64) float64 {
 		t, m := gene.Task, gene.Machine
 		assign[t] = m
 		start := ready[m]
+		tr, off := e.sys.TransferRow(m)
 		for _, p := range e.g.Preds(t) {
 			// finish[p.Task] and assign[p.Task] are already set because the
 			// string is a topological order.
-			arr := finish[p.Task] + e.sys.TransferTime(assign[p.Task], m, p.Item)
+			arr := finish[p.Task] + tr[int(off[assign[p.Task]])+int(p.Item)]
 			if arr > start {
 				start = arr
 			}
