@@ -17,9 +17,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/ga"
 	"repro/internal/heuristics"
 	"repro/internal/sa"
 	"repro/internal/schedule"
@@ -197,6 +195,16 @@ func benchWorkload(tasks, machines int) *workload.Workload {
 	})
 }
 
+// benchSchedule runs the registry's algorithm name on w under budget.
+func benchSchedule(tb testing.TB, w *workload.Workload, name string, budget scheduler.Budget, opts ...scheduler.Option) *scheduler.Result {
+	tb.Helper()
+	res, err := scheduler.MustGet(name, opts...).Schedule(context.Background(), w.Graph, w.System, budget)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 // BenchmarkEvaluatorMakespan measures the single-pass schedule-length
 // evaluation (the inner loop of SE allocation and GA fitness) at the
 // paper's scale: 100 tasks, 20 machines, ~400 data items.
@@ -273,12 +281,11 @@ func BenchmarkSEAllocationDeltaVsFull(b *testing.B) {
 		{"full", true},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			res, err := core.Run(w.Graph, w.System, core.Options{
-				MaxIterations: b.N, Seed: 1, Y: 9, FullEval: tc.full,
-			})
-			if err != nil {
-				b.Fatal(err)
+			opts := []scheduler.Option{scheduler.WithSeed(1), scheduler.WithY(9)}
+			if tc.full {
+				opts = append(opts, scheduler.WithFullEval())
 			}
+			res := benchSchedule(b, w, "se", scheduler.Budget{MaxIterations: b.N}, opts...)
 			b.ReportMetric(float64(res.GenesEvaluated)/float64(b.N), "genes/sweep")
 			b.ReportMetric(float64(res.Evaluations)/float64(b.N), "full-evals/sweep")
 			b.ReportMetric(float64(res.DeltaEvaluations)/float64(b.N), "delta-evals/sweep")
@@ -290,12 +297,7 @@ func BenchmarkSEAllocationDeltaVsFull(b *testing.B) {
 // selection, allocation) at paper scale.
 func BenchmarkSEIteration(b *testing.B) {
 	w := benchWorkload(100, 20)
-	res, err := core.Run(w.Graph, w.System, core.Options{
-		MaxIterations: b.N, Seed: 1, Y: 9,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	res := benchSchedule(b, w, "se", scheduler.Budget{MaxIterations: b.N}, scheduler.WithSeed(1), scheduler.WithY(9))
 	b.ReportMetric(float64(res.Evaluations)/float64(b.N), "evals/iter")
 }
 
@@ -303,21 +305,19 @@ func BenchmarkSEIteration(b *testing.B) {
 // Wang et al.'s population size.
 func BenchmarkGAGeneration(b *testing.B) {
 	w := benchWorkload(100, 20)
-	_, err := ga.Run(w.Graph, w.System, ga.Options{
-		MaxGenerations: b.N, Seed: 1, PopulationSize: 200,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	benchSchedule(b, w, "ga", scheduler.Budget{MaxIterations: b.N}, scheduler.WithSeed(1), scheduler.WithPopulation(200))
 }
 
 // BenchmarkSAMove measures single simulated-annealing moves (propose +
 // evaluate + accept/reject).
 func BenchmarkSAMove(b *testing.B) {
 	w := benchWorkload(100, 20)
-	_, err := sa.Run(w.Graph, w.System, sa.Options{MaxMoves: b.N, Seed: 1})
+	e, err := sa.NewEngine(w.Graph, w.System, sa.Options{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
+	}
+	for e.Moves() < b.N {
+		e.Step()
 	}
 }
 
@@ -353,12 +353,8 @@ func BenchmarkAllocationWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			total := 0
 			for i := 0; i < b.N; i++ {
-				res, err := core.Run(w.Graph, w.System, core.Options{
-					TimeBudget: 300 * time.Millisecond, Seed: 1, Y: 9, Workers: workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := benchSchedule(b, w, "se", scheduler.Budget{TimeBudget: 300 * time.Millisecond},
+					scheduler.WithSeed(1), scheduler.WithY(9), scheduler.WithWorkers(workers))
 				total += res.Iterations
 			}
 			b.ReportMetric(float64(total)/float64(b.N), "iters/300ms")
@@ -422,14 +418,10 @@ func BenchmarkSEBias(b *testing.B) {
 		{"positive-0.1", 0.1},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			res, err := core.Run(w.Graph, w.System, core.Options{
-				MaxIterations: b.N, Seed: 1, Bias: tc.bias, Y: 5,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
+			res := benchSchedule(b, w, "se", scheduler.Budget{MaxIterations: b.N},
+				scheduler.WithSeed(1), scheduler.WithBias(tc.bias), scheduler.WithY(5))
 			b.ReportMetric(float64(res.Evaluations)/float64(b.N), "evals/iter")
-			b.ReportMetric(res.BestMakespan, "makespan")
+			b.ReportMetric(res.Makespan, "makespan")
 		})
 	}
 }
@@ -449,13 +441,9 @@ func BenchmarkSEPerturbation(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := core.Run(w.Graph, w.System, core.Options{
-					MaxIterations: 600, Bias: -0.2, Seed: 1, PerturbAfter: tc.pa,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.BestMakespan, "makespan")
+				res := benchSchedule(b, w, "se", scheduler.Budget{MaxIterations: 600},
+					scheduler.WithBias(-0.2), scheduler.WithSeed(1), scheduler.WithPerturbAfter(tc.pa))
+				b.ReportMetric(res.Makespan, "makespan")
 			}
 		})
 	}
@@ -469,20 +457,14 @@ func BenchmarkSEvsSA(b *testing.B) {
 	budget := 200 * time.Millisecond
 	b.Run("se", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := core.Run(w.Graph, w.System, core.Options{TimeBudget: budget, Seed: 1, Y: 5})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(res.BestMakespan, "makespan")
+			res := benchSchedule(b, w, "se", scheduler.Budget{TimeBudget: budget}, scheduler.WithSeed(1), scheduler.WithY(5))
+			b.ReportMetric(res.Makespan, "makespan")
 		}
 	})
 	b.Run("sa", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := sa.Run(w.Graph, w.System, sa.Options{TimeBudget: budget, Seed: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(res.BestMakespan, "makespan")
+			res := benchSchedule(b, w, "sa", scheduler.Budget{TimeBudget: budget}, scheduler.WithSeed(1))
+			b.ReportMetric(res.Makespan, "makespan")
 		}
 	})
 }

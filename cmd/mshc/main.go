@@ -319,41 +319,15 @@ func parseWorkers(s string) (int, []string, error) {
 	return 0, urls, nil
 }
 
-// schedOptions maps a run request's tunables onto scheduler options — the
-// in-process mirror of serve's searchOptions.
-func schedOptions(req serve.RunRequest) []scheduler.Option {
-	opts := []scheduler.Option{
-		scheduler.WithSeed(req.Seed),
-		scheduler.WithWorkers(req.Workers),
-		scheduler.WithBias(req.Bias),
-		scheduler.WithY(req.Y),
-		scheduler.WithPopulation(req.Population),
-		scheduler.WithShards(req.Shards),
-		scheduler.WithRoundBatch(req.RoundBatch),
-	}
-	if len(req.WorkerURLs) > 0 {
-		opts = append(opts, scheduler.WithWorkerURLs(req.WorkerURLs...))
-	}
-	if req.FullEval {
-		opts = append(opts, scheduler.WithFullEval())
-	}
-	return opts
-}
-
 // runLocal executes every run in-process through the scheduler registry.
 func runLocal(w *workload.Workload, runs []serve.RunRequest) ([]serve.Result, error) {
 	var results []serve.Result
 	for _, req := range runs {
-		opts := schedOptions(req)
-		s, err := scheduler.Get(req.Algorithm, opts...)
+		s, err := scheduler.Get(req.Algorithm, req.Options()...)
 		if err != nil {
 			return nil, err
 		}
-		b := scheduler.Budget{
-			MaxIterations: req.MaxIterations,
-			TimeBudget:    time.Duration(req.TimeBudgetMS * float64(time.Millisecond)),
-		}
-		res, err := s.Schedule(context.Background(), w.Graph, w.System, b)
+		res, err := s.Schedule(context.Background(), w.Graph, w.System, req.Budget())
 		if err != nil {
 			return nil, err
 		}
@@ -380,15 +354,12 @@ func runResumable(w *workload.Workload, req serve.RunRequest, snapPath, resumePa
 		}
 		s, err = scheduler.Restore(algo, data, w.Graph, w.System)
 	} else {
-		s, err = scheduler.Open(algo, w.Graph, w.System, schedOptions(req)...)
+		s, err = scheduler.Open(algo, w.Graph, w.System, req.Options()...)
 	}
 	if err != nil {
 		return serve.Result{}, err
 	}
-	res, err := scheduler.Drive(context.Background(), s, scheduler.Budget{
-		MaxIterations: req.MaxIterations,
-		TimeBudget:    time.Duration(req.TimeBudgetMS * float64(time.Millisecond)),
-	})
+	res, err := scheduler.Drive(context.Background(), s, req.Budget())
 	if err != nil {
 		return serve.Result{}, err
 	}

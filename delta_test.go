@@ -9,24 +9,17 @@ package repro_test
 import (
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/scheduler"
 )
 
 func TestDeltaEngineHalvesGenesPerAllocationSweep(t *testing.T) {
 	w := benchWorkload(100, 20)
-	run := func(full bool) *core.Result {
-		res, err := core.Run(w.Graph, w.System, core.Options{
-			MaxIterations: 20, Seed: 1, Y: 9, FullEval: full,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	delta, fullRes := run(false), run(true)
+	budget := scheduler.Budget{MaxIterations: 20}
+	delta := benchSchedule(t, w, "se", budget, scheduler.WithSeed(1), scheduler.WithY(9))
+	fullRes := benchSchedule(t, w, "se", budget, scheduler.WithSeed(1), scheduler.WithY(9), scheduler.WithFullEval())
 
-	if delta.BestMakespan != fullRes.BestMakespan {
-		t.Fatalf("delta best makespan %v != full %v", delta.BestMakespan, fullRes.BestMakespan)
+	if delta.Makespan != fullRes.Makespan {
+		t.Fatalf("delta best makespan %v != full %v", delta.Makespan, fullRes.Makespan)
 	}
 	for i := range delta.Best {
 		if delta.Best[i] != fullRes.Best[i] {

@@ -28,9 +28,9 @@ import (
 	"repro/internal/schedule"
 )
 
-// Options configures one SE run. The zero value is not runnable: at least
-// one stopping criterion (MaxIterations, TimeBudget, NoImprovement or a
-// false-returning OnIteration) must be set.
+// Options configures one SE engine. Options carry no stopping criterion:
+// the caller's Step loop bounds the search (scheduler.Drive, for registry
+// searches).
 type Options struct {
 	// Bias is the selection bias B (§4.4). The paper uses negative values
 	// (−0.1 … −0.3) for small problems — selecting more tasks, searching
@@ -42,18 +42,6 @@ type Options struct {
 	// during allocation (§4.5, §5.2). 0 (or ≥ machine count) allows all
 	// machines.
 	Y int
-
-	// MaxIterations stops the run after this many generations (0 = no
-	// iteration limit).
-	MaxIterations int
-
-	// TimeBudget stops the run once wall-clock time is exhausted (0 = no
-	// time limit). Used by the paper's Figures 5–7 races against GA.
-	TimeBudget time.Duration
-
-	// NoImprovement stops the run after this many consecutive generations
-	// without improving the best schedule length (0 = disabled).
-	NoImprovement int
 
 	// Seed drives all randomness. Runs with equal Options and inputs are
 	// identical.
@@ -90,16 +78,6 @@ type Options struct {
 	// the first local optimum it reaches. 0 disables (the paper's
 	// behaviour).
 	PerturbAfter int
-
-	// RecordTrace stores per-iteration statistics in Result.Trace
-	// (Figures 3a/3b/4a/4b need them).
-	RecordTrace bool
-
-	// OnIteration, when non-nil, is called after each generation's
-	// selection with that generation's statistics. Returning false stops
-	// the run. The runner package uses it for time-stamped best-so-far
-	// sampling.
-	OnIteration func(IterationStats) bool
 }
 
 // NoInitialMoves disables initial-string perturbation when assigned to
@@ -139,9 +117,6 @@ type Result struct {
 	// GenesEvaluated counts individual gene evaluation steps across full
 	// and delta evaluations — the measure the incremental engine shrinks.
 	GenesEvaluated uint64
-	// Elapsed is the total wall-clock duration of the run.
+	// Elapsed is the accumulated in-Step wall-clock time.
 	Elapsed time.Duration
-	// Trace holds per-generation statistics when Options.RecordTrace is
-	// set.
-	Trace []IterationStats
 }

@@ -18,12 +18,9 @@ func testEngine(t *testing.T, opts Options) (*Engine, *workload.Workload) {
 	w := workload.MustGenerate(workload.Params{
 		Tasks: 24, Machines: 5, Connectivity: 2.5, Heterogeneity: 6, CCR: 0.8, Seed: 31,
 	})
-	if opts.MaxIterations == 0 {
-		opts.MaxIterations = 1
-	}
-	e, err := newEngine(w.Graph, w.System, opts)
+	e, err := NewEngine(w.Graph, w.System, opts)
 	if err != nil {
-		t.Fatalf("newEngine: %v", err)
+		t.Fatalf("NewEngine: %v", err)
 	}
 	return e, w
 }
@@ -194,30 +191,26 @@ func TestPerturbAfterKicksChangeCurrent(t *testing.T) {
 	w := workload.MustGenerate(workload.Params{
 		Tasks: 15, Machines: 3, Connectivity: 2, Heterogeneity: 4, CCR: 0.5, Seed: 8,
 	})
-	// Run long enough to stagnate and kick several times; the run must
-	// stay valid and the best must never regress.
-	res, err := Run(w.Graph, w.System, Options{
-		MaxIterations: 400, Seed: 8, PerturbAfter: 10, RecordTrace: true,
-	})
+	// Step long enough to stagnate and kick several times; the search
+	// must stay valid and the best must never regress.
+	e, err := NewEngine(w.Graph, w.System, Options{Seed: 8, PerturbAfter: 10})
 	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if err := schedule.Validate(res.Best, w.Graph, w.System); err != nil {
-		t.Fatalf("best invalid after kicks: %v", err)
-	}
-	for i := 1; i < len(res.Trace); i++ {
-		if res.Trace[i].BestMakespan > res.Trace[i-1].BestMakespan+1e-9 {
-			t.Fatalf("best-so-far regressed at iteration %d despite kicks", i)
-		}
+		t.Fatalf("NewEngine: %v", err)
 	}
 	// The kick must actually disturb the current solution: current
 	// makespan should rise above best at some point after stagnation.
 	kicked := false
-	for _, st := range res.Trace {
-		if st.CurrentMakespan > st.BestMakespan+1e-9 {
-			kicked = true
-			break
+	prevBest := 0.0
+	for i := 0; i < 400; i++ {
+		st := e.Step()
+		if i > 0 && st.BestMakespan > prevBest+1e-9 {
+			t.Fatalf("best-so-far regressed at iteration %d despite kicks", i)
 		}
+		prevBest = st.BestMakespan
+		kicked = kicked || st.CurrentMakespan > st.BestMakespan+1e-9
+	}
+	if err := schedule.Validate(e.Result().Best, w.Graph, w.System); err != nil {
+		t.Fatalf("best invalid after kicks: %v", err)
 	}
 	if !kicked {
 		t.Error("no perturbation visible in the trace")

@@ -7,20 +7,23 @@ import (
 	"repro/internal/workload"
 )
 
-// ExampleRun schedules the paper's Figure-1 worked example with simulated
-// evolution and prints the best schedule length found.
-func ExampleRun() {
+// ExampleEngine schedules the paper's Figure-1 worked example with
+// simulated evolution, stepping the engine 200 generations, and prints the
+// best schedule length found.
+func ExampleEngine() {
 	w := workload.Figure1()
-	res, err := core.Run(w.Graph, w.System, core.Options{
-		Bias:          -0.2, // small problem: thorough search (§4.4)
-		MaxIterations: 200,
-		Seed:          1,
+	e, err := core.NewEngine(w.Graph, w.System, core.Options{
+		Bias: -0.2, // small problem: thorough search (§4.4)
+		Seed: 1,
 	})
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	fmt.Printf("schedule length %.0f\n", res.BestMakespan)
+	for i := 0; i < 200; i++ {
+		e.Step()
+	}
+	fmt.Printf("schedule length %.0f\n", e.Result().BestMakespan)
 	// Output:
 	// schedule length 2300
 }

@@ -1,12 +1,13 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/ga"
 	"repro/internal/heuristics"
 	"repro/internal/schedule"
+	"repro/internal/scheduler"
 	"repro/internal/taskgraph"
 	"repro/internal/workload"
 )
@@ -110,14 +111,10 @@ func TestSENeverBeatsBruteForceOptimum(t *testing.T) {
 			t.Fatalf("seed %d: brute force found no solution", seed)
 		}
 
-		res, err := core.Run(w.Graph, w.System, core.Options{
-			MaxIterations: 300,
-			Bias:          -0.3, // small problem: thorough search (§4.4)
-			Seed:          seed,
-		})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
+		res, _ := run(t, w, core.Options{
+			Bias: -0.3, // small problem: thorough search (§4.4)
+			Seed: seed,
+		}, 300)
 		if res.BestMakespan < opt-1e-9 {
 			t.Fatalf("seed %d: SE %v beat the enumerated optimum %v — evaluator inconsistency",
 				seed, res.BestMakespan, opt)
@@ -143,15 +140,7 @@ func TestSEWithPerturbationFindsOptimum(t *testing.T) {
 		w := tinyWorkload(seed)
 		opt := bruteForceOptimum(w)
 
-		res, err := core.Run(w.Graph, w.System, core.Options{
-			MaxIterations: 2000,
-			Bias:          -0.3,
-			PerturbAfter:  25,
-			Seed:          seed,
-		})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
+		res, _ := run(t, w, core.Options{Bias: -0.3, PerturbAfter: 25, Seed: seed}, 2000)
 		if res.BestMakespan < opt-1e-9 {
 			t.Fatalf("seed %d: SE %v beat the enumerated optimum %v", seed, res.BestMakespan, opt)
 		}
@@ -177,11 +166,12 @@ func TestBaselinesNeverBeatBruteForce(t *testing.T) {
 				t.Errorf("seed %d: %s makespan %v beats enumerated optimum %v", seed, name, ms, opt)
 			}
 		}
-		gaRes, err := ga.Run(w.Graph, w.System, ga.Options{MaxGenerations: 50, Seed: seed, PopulationSize: 10})
+		gaRes, err := scheduler.MustGet("ga", scheduler.WithSeed(seed), scheduler.WithPopulation(10)).
+			Schedule(context.Background(), w.Graph, w.System, scheduler.Budget{MaxIterations: 50})
 		if err != nil {
 			t.Fatalf("ga: %v", err)
 		}
-		check("ga", gaRes.BestMakespan)
+		check("ga", gaRes.Makespan)
 		for _, r := range heuristics.All(w.Graph, w.System, seed) {
 			check(r.Name, r.Makespan)
 		}

@@ -12,45 +12,6 @@ import (
 	"repro/internal/xrand"
 )
 
-// Run executes the SE heuristic on graph g over system sys and returns the
-// best solution found. It is a budget loop over an Engine: NewEngine +
-// repeated Step calls produce the bit-identical search, one generation at
-// a time, for callers that need to pause, observe, snapshot or resume the
-// run (see the resumable-search API in internal/scheduler).
-func Run(g *taskgraph.Graph, sys *platform.System, opts Options) (*Result, error) {
-	if opts.MaxIterations <= 0 && opts.TimeBudget <= 0 && opts.NoImprovement <= 0 && opts.OnIteration == nil {
-		return nil, fmt.Errorf("core: no stopping criterion set (MaxIterations, TimeBudget, NoImprovement or OnIteration)")
-	}
-	e, err := NewEngine(g, sys, opts)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	var trace []IterationStats
-	for {
-		st := e.Step()
-		if opts.RecordTrace {
-			trace = append(trace, st)
-		}
-		if opts.OnIteration != nil && !opts.OnIteration(st) {
-			break
-		}
-		if opts.MaxIterations > 0 && e.iter >= opts.MaxIterations {
-			break
-		}
-		if opts.TimeBudget > 0 && time.Since(start) >= opts.TimeBudget {
-			break
-		}
-		if opts.NoImprovement > 0 && e.sinceImproved >= opts.NoImprovement {
-			break
-		}
-	}
-	res := e.Result()
-	res.Trace = trace
-	res.Elapsed = time.Since(start)
-	return res, nil
-}
-
 // Engine is one SE search in progress: the paper's
 // evaluation–selection–allocation loop with its state held between
 // generations, so a caller can drive it one Step at a time, read the best
@@ -90,9 +51,8 @@ type Engine struct {
 	iter          int
 	sinceImproved int
 	// pendingKick defers a stagnation perturbation to the start of the
-	// next Step, exactly where the pre-resumable loop applied it (after
-	// the stopping checks), so a run stopped at the stagnant generation
-	// never pays the kick.
+	// next Step, after the caller's stopping checks, so a run stopped at
+	// the stagnant generation never pays the kick.
 	pendingKick bool
 	mover       *schedule.Mover // lazily created for PerturbAfter kicks
 	elapsed     time.Duration   // accumulated Step time, survives snapshots
@@ -101,8 +61,8 @@ type Engine struct {
 }
 
 // NewEngine validates opts and builds a ready-to-Step engine positioned
-// before its first generation. Unlike Run, no stopping criterion is
-// required: the caller's Step loop bounds the search.
+// before its first generation. The caller's Step loop (scheduler.Drive,
+// for registry searches) bounds the search.
 func NewEngine(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine, error) {
 	e, err := newShell(g, sys, opts)
 	if err != nil {
@@ -130,9 +90,6 @@ func newShell(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine, 
 	}
 	if g.NumItems() != sys.NumItems() {
 		return nil, fmt.Errorf("core: graph has %d items but system is sized for %d", g.NumItems(), sys.NumItems())
-	}
-	if opts.MaxIterations < 0 {
-		return nil, fmt.Errorf("core: MaxIterations = %d, want >= 0", opts.MaxIterations)
 	}
 	if opts.Y < 0 {
 		return nil, fmt.Errorf("core: Y = %d, want >= 0", opts.Y)
@@ -176,11 +133,6 @@ func newShell(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine, 
 	return e, nil
 }
 
-// newEngine is kept for the in-package unit tests.
-func newEngine(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine, error) {
-	return NewEngine(g, sys, opts)
-}
-
 // initialSolution implements §4.2: random machine per task, tasks laid out
 // in (deterministic) topological order, then a random number of random
 // position moves within valid ranges. The perturbation moves positions
@@ -213,8 +165,7 @@ func (e *Engine) initialSolution() schedule.String {
 // Step runs one SE generation — evaluation (§4.3), selection (§4.4) and
 // allocation (§4.5), plus any perturbation kick left pending by the
 // previous generation — and returns the generation's statistics. The
-// stats are captured after selection, before allocation, matching what
-// Options.OnIteration historically observed.
+// stats are captured after selection, before allocation.
 func (e *Engine) Step() IterationStats {
 	stepStart := time.Now()
 	if e.pendingKick {
@@ -265,24 +216,19 @@ func (e *Engine) Step() IterationStats {
 func (e *Engine) Iterations() int { return e.iter }
 
 // SinceImproved returns the count of consecutive completed generations
-// without a best-makespan improvement — the quantity Options.NoImprovement
-// bounds.
+// without a best-makespan improvement — the quantity a Budget's
+// no-improvement criterion bounds.
 func (e *Engine) SinceImproved() int { return e.sinceImproved }
-
-// Elapsed returns the accumulated in-Step wall-clock time, including time
-// accumulated before a snapshot/restore cycle.
-func (e *Engine) Elapsed() time.Duration { return e.elapsed }
 
 // Result finalizes the engine's state into a Result. The final
 // generation's allocation may have improved on the last recorded best, so
-// the current solution is evaluated once more — exactly the closing step
-// of the pre-resumable run loop. The comparison is kept off the engine's
-// own best-so-far state, and the closing evaluation runs on an uncounted
-// probe evaluator: a mid-run Result call must not suppress the
-// improvement bookkeeping (sinceImproved resets) a later generation would
-// perform, nor inflate the effort ledger, or a search inspected mid-run
-// would diverge from an uninspected one. The engine remains steppable
-// afterwards.
+// the current solution is evaluated once more. The comparison is kept off
+// the engine's own best-so-far state, and the closing evaluation runs on
+// an uncounted probe evaluator: a mid-run Result call must not suppress
+// the improvement bookkeeping (sinceImproved resets) a later generation
+// would perform, nor inflate the effort ledger, or a search inspected
+// mid-run would diverge from an uninspected one. The engine remains
+// steppable afterwards.
 func (e *Engine) Result() *Result {
 	best, bestMs := e.best, e.bestMs
 	if e.probe == nil {

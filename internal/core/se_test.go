@@ -1,12 +1,14 @@
 package core_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/schedule"
+	"repro/internal/scheduler"
 	"repro/internal/taskgraph"
 	"repro/internal/workload"
 )
@@ -23,12 +25,36 @@ func smallWorkload() *workload.Workload {
 	})
 }
 
+// run steps a fresh engine n generations and returns its result and the
+// per-generation statistics. It is Drive's loop at engine level, so every
+// core.Options field is reachable, including those the registry does not
+// expose.
+func run(t *testing.T, w *workload.Workload, opts core.Options, n int) (*core.Result, []core.IterationStats) {
+	t.Helper()
+	e, err := core.NewEngine(w.Graph, w.System, opts)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	trace := make([]core.IterationStats, n)
+	for i := range trace {
+		trace[i] = e.Step()
+	}
+	return e.Result(), trace
+}
+
+// scheduleSE runs the registry's se, seeded 1, on w under b.
+func scheduleSE(t *testing.T, w *workload.Workload, b scheduler.Budget) *scheduler.Result {
+	t.Helper()
+	res, err := scheduler.MustGet("se", scheduler.WithSeed(1)).Schedule(context.Background(), w.Graph, w.System, b)
+	if err != nil {
+		t.Fatalf("Schedule: %v", err)
+	}
+	return res
+}
+
 func TestRunReturnsValidSolution(t *testing.T) {
 	w := smallWorkload()
-	res, err := core.Run(w.Graph, w.System, core.Options{MaxIterations: 50, Seed: 1})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res, _ := run(t, w, core.Options{Seed: 1}, 50)
 	if err := schedule.Validate(res.Best, w.Graph, w.System); err != nil {
 		t.Fatalf("SE returned invalid solution: %v", err)
 	}
@@ -52,12 +78,7 @@ func TestRunImprovesOverInitial(t *testing.T) {
 	}
 	initMs := e.Makespan(initial)
 
-	res, err := core.Run(w.Graph, w.System, core.Options{
-		MaxIterations: 100, Seed: 1, Initial: initial,
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res, _ := run(t, w, core.Options{Seed: 1, Initial: initial}, 100)
 	if res.BestMakespan >= initMs {
 		t.Errorf("SE did not improve: best %v, initial %v", res.BestMakespan, initMs)
 	}
@@ -66,10 +87,7 @@ func TestRunImprovesOverInitial(t *testing.T) {
 func TestRunRespectsLowerBound(t *testing.T) {
 	w := smallWorkload()
 	lb := schedule.LowerBound(w.Graph, w.System)
-	res, err := core.Run(w.Graph, w.System, core.Options{MaxIterations: 200, Seed: 3})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res, _ := run(t, w, core.Options{Seed: 3}, 200)
 	if res.BestMakespan < lb-1e-9 {
 		t.Errorf("best makespan %v below lower bound %v", res.BestMakespan, lb)
 	}
@@ -80,15 +98,9 @@ func TestRunRespectsLowerBound(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	w := smallWorkload()
-	opts := core.Options{MaxIterations: 60, Seed: 7, Y: 2, Bias: -0.1}
-	a, err := core.Run(w.Graph, w.System, opts)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	b, err := core.Run(w.Graph, w.System, opts)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	opts := core.Options{Seed: 7, Y: 2, Bias: -0.1}
+	a, _ := run(t, w, opts, 60)
+	b, _ := run(t, w, opts, 60)
 	if a.BestMakespan != b.BestMakespan {
 		t.Errorf("same seed, different best: %v vs %v", a.BestMakespan, b.BestMakespan)
 	}
@@ -101,8 +113,8 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestRunSeedsDiffer(t *testing.T) {
 	w := smallWorkload()
-	a, _ := core.Run(w.Graph, w.System, core.Options{MaxIterations: 30, Seed: 1})
-	b, _ := core.Run(w.Graph, w.System, core.Options{MaxIterations: 30, Seed: 2})
+	a, _ := run(t, w, core.Options{Seed: 1}, 30)
+	b, _ := run(t, w, core.Options{Seed: 2}, 30)
 	same := true
 	for i := range a.Best {
 		if a.Best[i] != b.Best[i] {
@@ -122,14 +134,8 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 	w := workload.MustGenerate(workload.Params{
 		Tasks: 30, Machines: 6, Connectivity: 3, Heterogeneity: 8, CCR: 1, Seed: 9,
 	})
-	serial, err := core.Run(w.Graph, w.System, core.Options{MaxIterations: 40, Seed: 5})
-	if err != nil {
-		t.Fatalf("serial: %v", err)
-	}
-	parallel, err := core.Run(w.Graph, w.System, core.Options{MaxIterations: 40, Seed: 5, Workers: 4})
-	if err != nil {
-		t.Fatalf("parallel: %v", err)
-	}
+	serial, _ := run(t, w, core.Options{Seed: 5}, 40)
+	parallel, _ := run(t, w, core.Options{Seed: 5, Workers: 4}, 40)
 	if serial.BestMakespan != parallel.BestMakespan {
 		t.Errorf("serial best %v != parallel best %v", serial.BestMakespan, parallel.BestMakespan)
 	}
@@ -142,14 +148,8 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 
 func TestTraceRecording(t *testing.T) {
 	w := smallWorkload()
-	res, err := core.Run(w.Graph, w.System, core.Options{MaxIterations: 25, Seed: 1, RecordTrace: true})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(res.Trace) != 25 {
-		t.Fatalf("Trace length = %d, want 25", len(res.Trace))
-	}
-	for i, st := range res.Trace {
+	_, trace := run(t, w, core.Options{Seed: 1}, 25)
+	for i, st := range trace {
 		if st.Iteration != i {
 			t.Errorf("Trace[%d].Iteration = %d", i, st.Iteration)
 		}
@@ -161,8 +161,8 @@ func TestTraceRecording(t *testing.T) {
 		}
 	}
 	// Best-so-far must be monotone non-increasing.
-	for i := 1; i < len(res.Trace); i++ {
-		if res.Trace[i].BestMakespan > res.Trace[i-1].BestMakespan+1e-9 {
+	for i := 1; i < len(trace); i++ {
+		if trace[i].BestMakespan > trace[i-1].BestMakespan+1e-9 {
 			t.Errorf("best-so-far increased at iteration %d", i)
 		}
 	}
@@ -171,17 +171,12 @@ func TestTraceRecording(t *testing.T) {
 func TestBiasControlsSelectionSize(t *testing.T) {
 	w := smallWorkload()
 	mean := func(bias float64) float64 {
-		res, err := core.Run(w.Graph, w.System, core.Options{
-			MaxIterations: 40, Seed: 11, Bias: bias, RecordTrace: true,
-		})
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
+		_, trace := run(t, w, core.Options{Seed: 11, Bias: bias}, 40)
 		total := 0
-		for _, st := range res.Trace {
+		for _, st := range trace {
 			total += st.Selected
 		}
-		return float64(total) / float64(len(res.Trace))
+		return float64(total) / float64(len(trace))
 	}
 	negative := mean(-0.3) // paper: negative bias → more selected
 	positive := mean(0.3)  // positive bias → fewer selected
@@ -193,18 +188,12 @@ func TestBiasControlsSelectionSize(t *testing.T) {
 func TestOnIterationStopsRun(t *testing.T) {
 	w := smallWorkload()
 	calls := 0
-	res, err := core.Run(w.Graph, w.System, core.Options{
-		Seed: 1,
-		OnIteration: func(st core.IterationStats) bool {
-			calls++
-			return calls < 5
-		},
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res := scheduleSE(t, w, scheduler.Budget{OnProgress: func(scheduler.Progress) bool {
+		calls++
+		return calls < 5
+	}})
 	if calls != 5 {
-		t.Errorf("OnIteration called %d times, want 5", calls)
+		t.Errorf("OnProgress called %d times, want 5", calls)
 	}
 	if res.Iterations != 5 {
 		t.Errorf("Iterations = %d, want 5", res.Iterations)
@@ -215,10 +204,7 @@ func TestTimeBudgetStopsRun(t *testing.T) {
 	w := smallWorkload()
 	budget := 50 * time.Millisecond
 	start := time.Now()
-	_, err := core.Run(w.Graph, w.System, core.Options{TimeBudget: budget, Seed: 1})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	scheduleSE(t, w, scheduler.Budget{TimeBudget: budget})
 	if elapsed := time.Since(start); elapsed > 20*budget {
 		t.Errorf("run took %v with a %v budget", elapsed, budget)
 	}
@@ -226,10 +212,7 @@ func TestTimeBudgetStopsRun(t *testing.T) {
 
 func TestNoImprovementStopsRun(t *testing.T) {
 	w := smallWorkload()
-	res, err := core.Run(w.Graph, w.System, core.Options{NoImprovement: 10, Seed: 1, MaxIterations: 100000})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res := scheduleSE(t, w, scheduler.Budget{NoImprovement: 10, MaxIterations: 100000})
 	if res.Iterations >= 100000 {
 		t.Error("NoImprovement did not stop the run")
 	}
@@ -237,10 +220,7 @@ func TestNoImprovementStopsRun(t *testing.T) {
 
 func TestYRestrictsMachines(t *testing.T) {
 	w := smallWorkload()
-	res, err := core.Run(w.Graph, w.System, core.Options{MaxIterations: 60, Seed: 2, Y: 1, InitialMoves: core.NoInitialMoves})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res, _ := run(t, w, core.Options{Seed: 2, Y: 1, InitialMoves: core.NoInitialMoves}, 60)
 	// With Y=1 every relocated task lands on its best-matching machine;
 	// over enough iterations nearly all tasks end up there. At minimum the
 	// result must stay valid and the run must complete.
@@ -255,38 +235,37 @@ func TestInitialSolutionUsed(t *testing.T) {
 	for i, tk := range w.Graph.TopoOrder() {
 		initial[i] = schedule.Gene{Task: tk, Machine: 1}
 	}
-	res, err := core.Run(w.Graph, w.System, core.Options{
-		MaxIterations: 1, Seed: 1, Initial: initial, Bias: 2, // bias 2: select nothing
-		RecordTrace: true,
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	_, trace := run(t, w, core.Options{Seed: 1, Initial: initial, Bias: 2}, 1) // bias 2: select nothing
 	wantMs := schedule.NewEvaluator(w.Graph, w.System).Makespan(initial)
-	if res.Trace[0].CurrentMakespan != wantMs {
-		t.Errorf("iteration 0 makespan = %v, want initial's %v", res.Trace[0].CurrentMakespan, wantMs)
+	if trace[0].CurrentMakespan != wantMs {
+		t.Errorf("iteration 0 makespan = %v, want initial's %v", trace[0].CurrentMakespan, wantMs)
 	}
-	if res.Trace[0].Selected != 0 {
-		t.Errorf("bias 2 selected %d tasks, want 0", res.Trace[0].Selected)
+	if trace[0].Selected != 0 {
+		t.Errorf("bias 2 selected %d tasks, want 0", trace[0].Selected)
 	}
 }
 
 func TestOptionErrors(t *testing.T) {
 	w := smallWorkload()
+	t.Run("no stop", func(t *testing.T) {
+		_, err := scheduler.MustGet("se").Schedule(context.Background(), w.Graph, w.System, scheduler.Budget{})
+		if err == nil || !strings.Contains(err.Error(), "stopping criterion") {
+			t.Errorf("unbounded run: error = %v, want a missing stopping criterion", err)
+		}
+	})
 	cases := []struct {
 		name string
 		opts core.Options
 		want string
 	}{
-		{"no stop", core.Options{}, "stopping criterion"},
-		{"negative Y", core.Options{MaxIterations: 1, Y: -1}, "Y"},
-		{"bad initial", core.Options{MaxIterations: 1, Initial: schedule.String{{Task: 0, Machine: 0}}}, "Initial"},
+		{"negative Y", core.Options{Y: -1}, "Y"},
+		{"bad initial", core.Options{Initial: schedule.String{{Task: 0, Machine: 0}}}, "Initial"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := core.Run(w.Graph, w.System, tc.opts)
+			_, err := core.NewEngine(w.Graph, w.System, tc.opts)
 			if err == nil {
-				t.Fatal("Run accepted invalid options")
+				t.Fatal("NewEngine accepted invalid options")
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error = %v, want mentioning %q", err, tc.want)
@@ -298,20 +277,14 @@ func TestOptionErrors(t *testing.T) {
 func TestMismatchedGraphSystem(t *testing.T) {
 	w := smallWorkload()
 	other := workload.Figure1()
-	_, err := core.Run(w.Graph, other.System, core.Options{MaxIterations: 1})
-	if err == nil {
-		t.Fatal("Run accepted mismatched graph and system")
+	if _, err := core.NewEngine(w.Graph, other.System, core.Options{}); err == nil {
+		t.Fatal("NewEngine accepted mismatched graph and system")
 	}
 }
 
 func TestFigure1SEFindsGoodSchedule(t *testing.T) {
 	w := workload.Figure1()
-	res, err := core.Run(w.Graph, w.System, core.Options{
-		MaxIterations: 200, Seed: 1, Bias: -0.2, // small problem: thorough search
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res, _ := run(t, w, core.Options{Seed: 1, Bias: -0.2}, 200) // small problem: thorough search
 	// The Figure-2 example solution scores 3123; SE must at least match a
 	// solution the paper presents as merely "valid".
 	if res.BestMakespan > 3123 {
@@ -323,10 +296,7 @@ func TestSingleMachineWorkload(t *testing.T) {
 	w := workload.MustGenerate(workload.Params{
 		Tasks: 10, Machines: 1, Connectivity: 1.5, Heterogeneity: 1, CCR: 0.5, Seed: 4,
 	})
-	res, err := core.Run(w.Graph, w.System, core.Options{MaxIterations: 20, Seed: 1})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res, _ := run(t, w, core.Options{Seed: 1}, 20)
 	// One machine: makespan is the serial sum regardless of order.
 	sum := 0.0
 	for tk := 0; tk < 10; tk++ {

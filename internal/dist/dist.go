@@ -54,9 +54,8 @@ const regionAlgorithm = "se"
 // Options configures a distributed sharded run.
 type Options struct {
 	// Shard configures the partition and the per-region SE engines,
-	// exactly as for an in-process sharded run. Its stopping criteria and
-	// OnIteration are unused — the coordinator's Step loop bounds the
-	// sweep.
+	// exactly as for an in-process sharded run; the coordinator's Step
+	// loop bounds the sweep.
 	Shard shard.Options
 
 	// RoundBatch is the number of generations every region advances per

@@ -13,42 +13,6 @@ import (
 	"repro/internal/xrand"
 )
 
-// Run executes the GA on graph g over system sys and returns the best
-// solution found: a budget loop over an Engine, one generation per Step.
-func Run(g *taskgraph.Graph, sys *platform.System, opts Options) (*Result, error) {
-	if opts.MaxGenerations <= 0 && opts.TimeBudget <= 0 && opts.NoImprovement <= 0 && opts.OnGeneration == nil {
-		return nil, fmt.Errorf("ga: no stopping criterion set (MaxGenerations, TimeBudget, NoImprovement or OnGeneration)")
-	}
-	e, err := NewEngine(g, sys, opts)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	var trace []GenerationStats
-	for {
-		st := e.Step()
-		if opts.RecordTrace {
-			trace = append(trace, st)
-		}
-		if opts.OnGeneration != nil && !opts.OnGeneration(st) {
-			break
-		}
-		if opts.MaxGenerations > 0 && e.gen >= opts.MaxGenerations {
-			break
-		}
-		if opts.TimeBudget > 0 && time.Since(start) >= opts.TimeBudget {
-			break
-		}
-		if opts.NoImprovement > 0 && e.sinceImproved >= opts.NoImprovement {
-			break
-		}
-	}
-	res := e.Result()
-	res.Trace = trace
-	res.Elapsed = time.Since(start)
-	return res, nil
-}
-
 // chromosome is Wang et al.'s two-string representation.
 type chromosome struct {
 	order  []taskgraph.TaskID    // scheduling string: a topological order
@@ -127,8 +91,7 @@ func (e *Engine) cloneOf(src *chromosome) *chromosome {
 }
 
 // NewEngine validates opts and builds a ready-to-Step engine with its
-// initial population drawn. Unlike Run, no stopping criterion is
-// required: the caller's Step loop bounds the search.
+// initial population drawn. The caller's Step loop bounds the search.
 func NewEngine(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine, error) {
 	e, err := newShell(g, sys, opts)
 	if err != nil {
@@ -217,22 +180,14 @@ func (e *Engine) initialPopulation() []*chromosome {
 	return pop
 }
 
-// Generations returns the number of completed generations.
-func (e *Engine) Generations() int { return e.gen }
-
 // SinceImproved returns the count of consecutive completed generations
-// without a best-makespan improvement — the quantity
-// Options.NoImprovement bounds.
+// without a best-makespan improvement — the quantity a Budget's
+// no-improvement criterion bounds.
 func (e *Engine) SinceImproved() int { return e.sinceImproved }
-
-// Elapsed returns the accumulated in-Step wall-clock time, including time
-// accumulated before a snapshot/restore cycle.
-func (e *Engine) Elapsed() time.Duration { return e.elapsed }
 
 // Step runs one GA generation — fitness evaluation, then selection,
 // crossover and mutation into the next population — and returns the
-// generation's statistics (captured after evaluation, before evolution,
-// matching what Options.OnGeneration historically observed).
+// generation's statistics (captured after evaluation, before evolution).
 func (e *Engine) Step() GenerationStats {
 	start := time.Now()
 	genBest, genMean := e.evaluate()

@@ -15,7 +15,7 @@ func TestEvaluateSmallPopulationSkipsWorkerFanout(t *testing.T) {
 		Tasks: 10, Machines: 3, Connectivity: 2, Heterogeneity: 4, CCR: 0.5, Seed: 1,
 	})
 	e, err := NewEngine(w.Graph, w.System, Options{
-		MaxGenerations: 1, Seed: 1, PopulationSize: 4, Workers: 8,
+		Seed: 1, PopulationSize: 4, Workers: 8,
 	})
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
@@ -43,7 +43,7 @@ func TestEvaluateParallelMatchesSerialCosts(t *testing.T) {
 	})
 	mk := func(workers int) []float64 {
 		e, err := NewEngine(w.Graph, w.System, Options{
-			MaxGenerations: 1, Seed: 7, PopulationSize: 30, Workers: workers,
+			Seed: 7, PopulationSize: 30, Workers: workers,
 		})
 		if err != nil {
 			t.Fatalf("NewEngine: %v", err)

@@ -14,8 +14,7 @@
 // One generation performs cost evaluation (schedule length, via the same
 // evaluator SE uses), elitist roulette-wheel selection, topology-preserving
 // order crossover plus one-point matching crossover, and machine- and
-// order-mutation. Evolution stops on a generation budget, a wall-clock
-// budget, or stagnation.
+// order-mutation. The caller's Step loop decides when evolution stops.
 package ga
 
 import (
@@ -24,9 +23,9 @@ import (
 	"repro/internal/schedule"
 )
 
-// Options configures one GA run. At least one stopping criterion
-// (MaxGenerations, TimeBudget, NoImprovement or a false-returning
-// OnGeneration) must be set.
+// Options configures one GA engine. Options carry no stopping criterion:
+// the caller's Step loop bounds the search (scheduler.Drive, for registry
+// searches).
 type Options struct {
 	// PopulationSize is the number of chromosomes (default 50, the size
 	// used by Wang et al.).
@@ -44,18 +43,6 @@ type Options struct {
 	// next generation (default 1; Wang et al. always preserve the best).
 	Elitism int
 
-	// MaxGenerations stops the run after this many generations (0 = no
-	// generation limit).
-	MaxGenerations int
-
-	// TimeBudget stops the run once wall-clock time is exhausted (0 = no
-	// time limit). Figures 5–7 race GA against SE under equal budgets.
-	TimeBudget time.Duration
-
-	// NoImprovement stops after this many consecutive generations without
-	// improving the best schedule length (0 = disabled).
-	NoImprovement int
-
 	// Seed drives all randomness.
 	Seed int64
 
@@ -71,13 +58,6 @@ type Options struct {
 	// every chromosome with a full pass. Fitness values are bit-identical
 	// either way; this exists for ablations and differential tests.
 	FullEval bool
-
-	// RecordTrace stores per-generation statistics in Result.Trace.
-	RecordTrace bool
-
-	// OnGeneration, when non-nil, is called once per generation after
-	// evaluation; returning false stops the run.
-	OnGeneration func(GenerationStats) bool
 }
 
 func (o Options) withDefaults() Options {
@@ -128,9 +108,6 @@ type Result struct {
 	// GenesEvaluated counts gene evaluation steps across full and delta
 	// evaluations.
 	GenesEvaluated uint64
-	// Elapsed is the total wall-clock duration of the run.
+	// Elapsed is the accumulated in-Step wall-clock time.
 	Elapsed time.Duration
-	// Trace holds per-generation statistics when Options.RecordTrace is
-	// set.
-	Trace []GenerationStats
 }

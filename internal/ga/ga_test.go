@@ -1,12 +1,14 @@
 package ga_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/ga"
 	"repro/internal/schedule"
+	"repro/internal/scheduler"
 	"repro/internal/workload"
 )
 
@@ -20,12 +22,34 @@ func smallWorkload() *workload.Workload {
 	})
 }
 
+// run steps a fresh engine n generations and returns its result and the
+// per-generation statistics: Drive's loop at engine level.
+func run(t *testing.T, w *workload.Workload, opts ga.Options, n int) (*ga.Result, []ga.GenerationStats) {
+	t.Helper()
+	e, err := ga.NewEngine(w.Graph, w.System, opts)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	trace := make([]ga.GenerationStats, n)
+	for i := range trace {
+		trace[i] = e.Step()
+	}
+	return e.Result(), trace
+}
+
+// scheduleGA runs the registry's ga, seeded 1, on w under b.
+func scheduleGA(t *testing.T, w *workload.Workload, b scheduler.Budget) *scheduler.Result {
+	t.Helper()
+	res, err := scheduler.MustGet("ga", scheduler.WithSeed(1)).Schedule(context.Background(), w.Graph, w.System, b)
+	if err != nil {
+		t.Fatalf("Schedule: %v", err)
+	}
+	return res
+}
+
 func TestRunReturnsValidSolution(t *testing.T) {
 	w := smallWorkload()
-	res, err := ga.Run(w.Graph, w.System, ga.Options{MaxGenerations: 30, Seed: 1})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res, _ := run(t, w, ga.Options{Seed: 1}, 30)
 	if err := schedule.Validate(res.Best, w.Graph, w.System); err != nil {
 		t.Fatalf("GA returned invalid solution: %v", err)
 	}
@@ -39,11 +63,8 @@ func TestRunReturnsValidSolution(t *testing.T) {
 
 func TestRunImproves(t *testing.T) {
 	w := smallWorkload()
-	res, err := ga.Run(w.Graph, w.System, ga.Options{MaxGenerations: 60, Seed: 1, RecordTrace: true})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	first := res.Trace[0].GenerationBest
+	res, trace := run(t, w, ga.Options{Seed: 1}, 60)
+	first := trace[0].GenerationBest
 	if res.BestMakespan >= first {
 		t.Errorf("GA did not improve: best %v, first generation %v", res.BestMakespan, first)
 	}
@@ -52,10 +73,7 @@ func TestRunImproves(t *testing.T) {
 func TestRunRespectsLowerBound(t *testing.T) {
 	w := smallWorkload()
 	lb := schedule.LowerBound(w.Graph, w.System)
-	res, err := ga.Run(w.Graph, w.System, ga.Options{MaxGenerations: 50, Seed: 3})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res, _ := run(t, w, ga.Options{Seed: 3}, 50)
 	if res.BestMakespan < lb-1e-9 {
 		t.Errorf("best %v below lower bound %v", res.BestMakespan, lb)
 	}
@@ -66,15 +84,8 @@ func TestRunRespectsLowerBound(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	w := smallWorkload()
-	opts := ga.Options{MaxGenerations: 25, Seed: 7}
-	a, err := ga.Run(w.Graph, w.System, opts)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	b, err := ga.Run(w.Graph, w.System, opts)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	a, _ := run(t, w, ga.Options{Seed: 7}, 25)
+	b, _ := run(t, w, ga.Options{Seed: 7}, 25)
 	if a.BestMakespan != b.BestMakespan {
 		t.Errorf("same seed, different best: %v vs %v", a.BestMakespan, b.BestMakespan)
 	}
@@ -82,14 +93,8 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestRunParallelFitnessMatchesSerial(t *testing.T) {
 	w := smallWorkload()
-	a, err := ga.Run(w.Graph, w.System, ga.Options{MaxGenerations: 25, Seed: 7})
-	if err != nil {
-		t.Fatalf("serial: %v", err)
-	}
-	b, err := ga.Run(w.Graph, w.System, ga.Options{MaxGenerations: 25, Seed: 7, Workers: 4})
-	if err != nil {
-		t.Fatalf("parallel: %v", err)
-	}
+	a, _ := run(t, w, ga.Options{Seed: 7}, 25)
+	b, _ := run(t, w, ga.Options{Seed: 7, Workers: 4}, 25)
 	if a.BestMakespan != b.BestMakespan {
 		t.Errorf("parallel fitness changed the search: %v vs %v", a.BestMakespan, b.BestMakespan)
 	}
@@ -97,14 +102,11 @@ func TestRunParallelFitnessMatchesSerial(t *testing.T) {
 
 func TestElitismMonotone(t *testing.T) {
 	w := smallWorkload()
-	res, err := ga.Run(w.Graph, w.System, ga.Options{MaxGenerations: 60, Seed: 5, RecordTrace: true})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	_, trace := run(t, w, ga.Options{Seed: 5}, 60)
 	// With elitism ≥ 1 the per-generation best never regresses past the
 	// global best, and the global best is monotone.
-	for i := 1; i < len(res.Trace); i++ {
-		if res.Trace[i].BestMakespan > res.Trace[i-1].BestMakespan+1e-9 {
+	for i := 1; i < len(trace); i++ {
+		if trace[i].BestMakespan > trace[i-1].BestMakespan+1e-9 {
 			t.Errorf("best-so-far increased at generation %d", i)
 		}
 	}
@@ -118,42 +120,30 @@ func TestInitialSeedChromosome(t *testing.T) {
 		initial[i] = schedule.Gene{Task: tk, Machine: 0}
 	}
 	wantMs := schedule.NewEvaluator(w.Graph, w.System).Makespan(initial)
-	res, err := ga.Run(w.Graph, w.System, ga.Options{MaxGenerations: 1, Seed: 1, Initial: initial, RecordTrace: true})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	_, trace := run(t, w, ga.Options{Seed: 1, Initial: initial}, 1)
 	// Generation 0 contains the seed, so its best can be no worse than the
 	// seed's cost.
-	if res.Trace[0].GenerationBest > wantMs {
-		t.Errorf("generation 0 best %v worse than seed %v", res.Trace[0].GenerationBest, wantMs)
+	if trace[0].GenerationBest > wantMs {
+		t.Errorf("generation 0 best %v worse than seed %v", trace[0].GenerationBest, wantMs)
 	}
 }
 
 func TestOnGenerationStops(t *testing.T) {
 	w := smallWorkload()
 	calls := 0
-	res, err := ga.Run(w.Graph, w.System, ga.Options{
-		Seed: 1,
-		OnGeneration: func(st ga.GenerationStats) bool {
-			calls++
-			return calls < 4
-		},
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if calls != 4 || res.Generations != 4 {
-		t.Errorf("calls = %d, generations = %d, want 4", calls, res.Generations)
+	res := scheduleGA(t, w, scheduler.Budget{OnProgress: func(scheduler.Progress) bool {
+		calls++
+		return calls < 4
+	}})
+	if calls != 4 || res.Iterations != 4 {
+		t.Errorf("calls = %d, generations = %d, want 4", calls, res.Iterations)
 	}
 }
 
 func TestTimeBudgetStops(t *testing.T) {
 	w := smallWorkload()
 	start := time.Now()
-	_, err := ga.Run(w.Graph, w.System, ga.Options{TimeBudget: 50 * time.Millisecond, Seed: 1})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	scheduleGA(t, w, scheduler.Budget{TimeBudget: 50 * time.Millisecond})
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Errorf("run took %v with a 50ms budget", elapsed)
 	}
@@ -161,34 +151,36 @@ func TestTimeBudgetStops(t *testing.T) {
 
 func TestNoImprovementStops(t *testing.T) {
 	w := smallWorkload()
-	res, err := ga.Run(w.Graph, w.System, ga.Options{NoImprovement: 8, MaxGenerations: 100000, Seed: 1})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if res.Generations >= 100000 {
+	res := scheduleGA(t, w, scheduler.Budget{NoImprovement: 8, MaxIterations: 100000})
+	if res.Iterations >= 100000 {
 		t.Error("NoImprovement did not stop the run")
 	}
 }
 
 func TestOptionErrors(t *testing.T) {
 	w := smallWorkload()
+	t.Run("no stop", func(t *testing.T) {
+		_, err := scheduler.MustGet("ga").Schedule(context.Background(), w.Graph, w.System, scheduler.Budget{})
+		if err == nil || !strings.Contains(err.Error(), "stopping criterion") {
+			t.Errorf("unbounded run: error = %v, want a missing stopping criterion", err)
+		}
+	})
 	cases := []struct {
 		name string
 		opts ga.Options
 		want string
 	}{
-		{"no stop", ga.Options{}, "stopping criterion"},
-		{"tiny population", ga.Options{MaxGenerations: 1, PopulationSize: 1}, "PopulationSize"},
-		{"elitism too large", ga.Options{MaxGenerations: 1, PopulationSize: 4, Elitism: 4}, "Elitism"},
-		{"bad crossover", ga.Options{MaxGenerations: 1, CrossoverRate: 1.5}, "CrossoverRate"},
-		{"bad mutation", ga.Options{MaxGenerations: 1, MutationRate: -0.5}, "MutationRate"},
-		{"bad initial", ga.Options{MaxGenerations: 1, Initial: schedule.String{{Task: 0, Machine: 0}}}, "Initial"},
+		{"tiny population", ga.Options{PopulationSize: 1}, "PopulationSize"},
+		{"elitism too large", ga.Options{PopulationSize: 4, Elitism: 4}, "Elitism"},
+		{"bad crossover", ga.Options{CrossoverRate: 1.5}, "CrossoverRate"},
+		{"bad mutation", ga.Options{MutationRate: -0.5}, "MutationRate"},
+		{"bad initial", ga.Options{Initial: schedule.String{{Task: 0, Machine: 0}}}, "Initial"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ga.Run(w.Graph, w.System, tc.opts)
+			_, err := ga.NewEngine(w.Graph, w.System, tc.opts)
 			if err == nil {
-				t.Fatal("Run accepted invalid options")
+				t.Fatal("NewEngine accepted invalid options")
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error = %v, want mentioning %q", err, tc.want)
@@ -204,10 +196,7 @@ func TestEveryGenerationSolutionsValid(t *testing.T) {
 		Tasks: 30, Machines: 5, Connectivity: 4, Heterogeneity: 10, CCR: 1, Seed: 13,
 	})
 	for seed := int64(1); seed <= 5; seed++ {
-		res, err := ga.Run(w.Graph, w.System, ga.Options{MaxGenerations: 40, Seed: seed})
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
+		res, _ := run(t, w, ga.Options{Seed: seed}, 40)
 		if err := schedule.Validate(res.Best, w.Graph, w.System); err != nil {
 			t.Fatalf("seed %d: invalid solution: %v", seed, err)
 		}

@@ -19,8 +19,9 @@ import (
 	"repro/internal/xrand"
 )
 
-// Options configures one SA run. At least one stopping criterion
-// (MaxMoves, TimeBudget or NoImprovement) must be set.
+// Options configures one SA engine. Options carry no stopping criterion:
+// the caller's Step loop bounds the walk (scheduler.Drive, for registry
+// searches).
 type Options struct {
 	// InitialTemp is the starting temperature; 0 derives it from the
 	// initial solution (20% of its makespan), which accepts most early
@@ -32,15 +33,6 @@ type Options struct {
 	// MovesPerTemp is the number of proposed moves per temperature step
 	// (default: the task count).
 	MovesPerTemp int
-	// MaxMoves stops the run after this many proposed moves (0 = no move
-	// limit).
-	MaxMoves int
-	// TimeBudget stops the run once wall-clock time is exhausted (0 = no
-	// time limit).
-	TimeBudget time.Duration
-	// NoImprovement stops after this many consecutive proposed moves
-	// without improving the best makespan (0 = disabled).
-	NoImprovement int
 	// Seed drives all randomness.
 	Seed int64
 	// Initial, when non-nil, is the starting solution (cloned); otherwise
@@ -50,10 +42,6 @@ type Options struct {
 	// proposed move with a full pass. The walk is byte-identical either
 	// way; this exists for ablations and differential tests.
 	FullEval bool
-	// OnBlock, when non-nil, is called after each temperature block of
-	// MovesPerTemp moves; returning false stops the run. It observes the
-	// run only — the random sequence is identical with or without it.
-	OnBlock func(BlockStats) bool
 }
 
 // BlockStats describes one completed temperature block.
@@ -126,9 +114,8 @@ type Engine struct {
 	pos  []int
 }
 
-// NewEngine validates opts and builds a ready-to-Step engine. Unlike Run,
-// no stopping criterion is required: the caller's Step loop bounds the
-// walk.
+// NewEngine validates opts and builds a ready-to-Step engine. The
+// caller's Step loop bounds the walk.
 func NewEngine(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine, error) {
 	e, err := newShell(g, sys, opts)
 	if err != nil {
@@ -198,23 +185,17 @@ func newShell(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine, 
 // of proposed moves one Step executes.
 func (e *Engine) MovesPerTemp() int { return e.opts.MovesPerTemp }
 
-// Blocks returns the number of completed temperature blocks.
-func (e *Engine) Blocks() int { return e.blocks }
-
 // Moves returns the number of proposed moves so far.
 func (e *Engine) Moves() int { return e.moves }
 
 // SinceImproved returns the count of consecutive proposed moves without a
-// best-makespan improvement — the quantity Options.NoImprovement bounds.
+// best-makespan improvement — the quantity a Budget's no-improvement
+// criterion bounds, scaled by MovesPerTemp.
 func (e *Engine) SinceImproved() int { return e.sinceImproved }
-
-// Elapsed returns the accumulated in-Step wall-clock time, including time
-// accumulated before a snapshot/restore cycle.
-func (e *Engine) Elapsed() time.Duration { return e.elapsed }
 
 // Step runs one temperature block of MovesPerTemp Metropolis moves, cools
 // the temperature, and returns the block's statistics (captured before
-// cooling, as Options.OnBlock historically observed them).
+// cooling).
 func (e *Engine) Step() BlockStats {
 	start := time.Now()
 	n := e.g.NumTasks()
@@ -300,35 +281,4 @@ func (e *Engine) counts() schedule.EvalCounts {
 		counts = counts.Add(e.inc.Counts())
 	}
 	return counts
-}
-
-// Run executes simulated annealing on graph g over system sys: a budget
-// loop over an Engine, one temperature block per Step.
-func Run(g *taskgraph.Graph, sys *platform.System, opts Options) (*Result, error) {
-	if opts.MaxMoves <= 0 && opts.TimeBudget <= 0 && opts.NoImprovement <= 0 && opts.OnBlock == nil {
-		return nil, fmt.Errorf("sa: no stopping criterion set (MaxMoves, TimeBudget, NoImprovement or OnBlock)")
-	}
-	e, err := NewEngine(g, sys, opts)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	for {
-		st := e.Step()
-		if opts.OnBlock != nil && !opts.OnBlock(st) {
-			break
-		}
-		if opts.MaxMoves > 0 && e.moves >= opts.MaxMoves {
-			break
-		}
-		if opts.TimeBudget > 0 && time.Since(start) >= opts.TimeBudget {
-			break
-		}
-		if opts.NoImprovement > 0 && e.sinceImproved >= opts.NoImprovement {
-			break
-		}
-	}
-	res := e.Result()
-	res.Elapsed = time.Since(start)
-	return res, nil
 }

@@ -1,12 +1,14 @@
 package sa_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/sa"
 	"repro/internal/schedule"
+	"repro/internal/scheduler"
 	"repro/internal/workload"
 )
 
@@ -16,12 +18,34 @@ func smallWorkload() *workload.Workload {
 	})
 }
 
+// run steps a fresh engine n temperature blocks (MovesPerTemp defaults to
+// the task count, 20 moves here) and returns its result: Drive's loop at
+// engine level.
+func run(t *testing.T, w *workload.Workload, opts sa.Options, n int) *sa.Result {
+	t.Helper()
+	e, err := sa.NewEngine(w.Graph, w.System, opts)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	for i := 0; i < n; i++ {
+		e.Step()
+	}
+	return e.Result()
+}
+
+// scheduleSA runs the registry's sa with the given seed on w under b.
+func scheduleSA(t *testing.T, w *workload.Workload, seed int64, b scheduler.Budget) *scheduler.Result {
+	t.Helper()
+	res, err := scheduler.MustGet("sa", scheduler.WithSeed(seed)).Schedule(context.Background(), w.Graph, w.System, b)
+	if err != nil {
+		t.Fatalf("Schedule: %v", err)
+	}
+	return res
+}
+
 func TestRunReturnsValidSolution(t *testing.T) {
 	w := smallWorkload()
-	res, err := sa.Run(w.Graph, w.System, sa.Options{MaxMoves: 2000, Seed: 1})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res := run(t, w, sa.Options{Seed: 1}, 100)
 	if err := schedule.Validate(res.Best, w.Graph, w.System); err != nil {
 		t.Fatalf("SA returned invalid solution: %v", err)
 	}
@@ -40,10 +64,7 @@ func TestRunImproves(t *testing.T) {
 		initial[i] = schedule.Gene{Task: tk, Machine: 0}
 	}
 	initMs := schedule.NewEvaluator(w.Graph, w.System).Makespan(initial)
-	res, err := sa.Run(w.Graph, w.System, sa.Options{MaxMoves: 5000, Seed: 1, Initial: initial})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res := run(t, w, sa.Options{Seed: 1, Initial: initial}, 250)
 	if res.BestMakespan >= initMs {
 		t.Errorf("SA did not improve: best %v, initial %v", res.BestMakespan, initMs)
 	}
@@ -52,10 +73,7 @@ func TestRunImproves(t *testing.T) {
 func TestRunRespectsLowerBound(t *testing.T) {
 	w := smallWorkload()
 	lb := schedule.LowerBound(w.Graph, w.System)
-	res, err := sa.Run(w.Graph, w.System, sa.Options{MaxMoves: 3000, Seed: 2})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res := run(t, w, sa.Options{Seed: 2}, 150)
 	if res.BestMakespan < lb-1e-9 {
 		t.Errorf("best %v below lower bound %v", res.BestMakespan, lb)
 	}
@@ -66,15 +84,8 @@ func TestRunRespectsLowerBound(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	w := smallWorkload()
-	opts := sa.Options{MaxMoves: 1500, Seed: 9}
-	a, err := sa.Run(w.Graph, w.System, opts)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	b, err := sa.Run(w.Graph, w.System, opts)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	a := run(t, w, sa.Options{Seed: 9}, 75)
+	b := run(t, w, sa.Options{Seed: 9}, 75)
 	if a.BestMakespan != b.BestMakespan || a.Accepted != b.Accepted {
 		t.Errorf("same seed diverged: best %v/%v accepted %d/%d",
 			a.BestMakespan, b.BestMakespan, a.Accepted, b.Accepted)
@@ -84,10 +95,7 @@ func TestRunDeterministic(t *testing.T) {
 func TestTimeBudgetStops(t *testing.T) {
 	w := smallWorkload()
 	start := time.Now()
-	_, err := sa.Run(w.Graph, w.System, sa.Options{TimeBudget: 50 * time.Millisecond, Seed: 1})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	scheduleSA(t, w, 1, scheduler.Budget{TimeBudget: 50 * time.Millisecond})
 	if time.Since(start) > time.Second {
 		t.Error("TimeBudget overshot grossly")
 	}
@@ -95,31 +103,35 @@ func TestTimeBudgetStops(t *testing.T) {
 
 func TestNoImprovementStops(t *testing.T) {
 	w := smallWorkload()
-	res, err := sa.Run(w.Graph, w.System, sa.Options{NoImprovement: 500, Seed: 1})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if res.Moves == 0 {
-		t.Error("no moves proposed")
+	// 25 blocks of 20 moves: the walk stops after 500 proposed moves
+	// without improvement.
+	res := scheduleSA(t, w, 1, scheduler.Budget{NoImprovement: 25, MaxIterations: 100000})
+	if res.Iterations < 25 || res.Iterations >= 100000 {
+		t.Errorf("Iterations = %d, want a stop in [25, 100000)", res.Iterations)
 	}
 }
 
 func TestOptionErrors(t *testing.T) {
 	w := smallWorkload()
+	t.Run("no stop", func(t *testing.T) {
+		_, err := scheduler.MustGet("sa").Schedule(context.Background(), w.Graph, w.System, scheduler.Budget{})
+		if err == nil || !strings.Contains(err.Error(), "stopping criterion") {
+			t.Errorf("unbounded run: error = %v, want a missing stopping criterion", err)
+		}
+	})
 	cases := []struct {
 		name string
 		opts sa.Options
 		want string
 	}{
-		{"no stop", sa.Options{}, "stopping criterion"},
-		{"bad cooling", sa.Options{MaxMoves: 1, Cooling: 1.5}, "Cooling"},
-		{"bad initial", sa.Options{MaxMoves: 1, Initial: schedule.String{{Task: 0, Machine: 0}}}, "Initial"},
+		{"bad cooling", sa.Options{Cooling: 1.5}, "Cooling"},
+		{"bad initial", sa.Options{Initial: schedule.String{{Task: 0, Machine: 0}}}, "Initial"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := sa.Run(w.Graph, w.System, tc.opts)
+			_, err := sa.NewEngine(w.Graph, w.System, tc.opts)
 			if err == nil {
-				t.Fatal("Run accepted invalid options")
+				t.Fatal("NewEngine accepted invalid options")
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error = %v, want mentioning %q", err, tc.want)
@@ -131,27 +143,21 @@ func TestOptionErrors(t *testing.T) {
 func TestOnBlockObservesAndStops(t *testing.T) {
 	w := smallWorkload()
 	var blocks int
-	res, err := sa.Run(w.Graph, w.System, sa.Options{
-		Seed: 1,
-		OnBlock: func(st sa.BlockStats) bool {
-			if st.Block != blocks {
-				t.Errorf("Block = %d, want %d", st.Block, blocks)
-			}
-			if st.BestMakespan <= 0 || st.Temperature <= 0 {
-				t.Errorf("stats not populated: %+v", st)
-			}
-			blocks++
-			return blocks < 4
-		},
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res := scheduleSA(t, w, 1, scheduler.Budget{OnProgress: func(p scheduler.Progress) bool {
+		if p.Iteration != blocks {
+			t.Errorf("Iteration = %d, want %d", p.Iteration, blocks)
+		}
+		if p.Best <= 0 {
+			t.Errorf("progress not populated: %+v", p)
+		}
+		blocks++
+		return blocks < 4
+	}})
 	if blocks != 4 {
-		t.Errorf("OnBlock called %d times, want 4", blocks)
+		t.Errorf("OnProgress called %d times, want 4", blocks)
 	}
-	if res.Blocks != 4 {
-		t.Errorf("Blocks = %d, want 4", res.Blocks)
+	if res.Iterations != 4 {
+		t.Errorf("Iterations = %d, want 4", res.Iterations)
 	}
 	if res.Evaluations == 0 {
 		t.Error("Evaluations = 0, want > 0")
@@ -160,19 +166,13 @@ func TestOnBlockObservesAndStops(t *testing.T) {
 
 func TestOnBlockDoesNotPerturbSearch(t *testing.T) {
 	w := smallWorkload()
-	plain, err := sa.Run(w.Graph, w.System, sa.Options{Seed: 5, MaxMoves: 200})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	observed, err := sa.Run(w.Graph, w.System, sa.Options{
-		Seed: 5, MaxMoves: 200,
-		OnBlock: func(sa.BlockStats) bool { return true },
+	plain := scheduleSA(t, w, 5, scheduler.Budget{MaxIterations: 10})
+	observed := scheduleSA(t, w, 5, scheduler.Budget{
+		MaxIterations: 10,
+		OnProgress:    func(scheduler.Progress) bool { return true },
 	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if plain.BestMakespan != observed.BestMakespan {
-		t.Errorf("observer changed the search: %v vs %v", plain.BestMakespan, observed.BestMakespan)
+	if plain.Makespan != observed.Makespan {
+		t.Errorf("observer changed the search: %v vs %v", plain.Makespan, observed.Makespan)
 	}
 	for i := range plain.Best {
 		if plain.Best[i] != observed.Best[i] {

@@ -20,7 +20,8 @@ func conformanceWorkload() *workload.Workload {
 // TestConformance runs every registered scheduler through the contract the
 // interface promises: a valid best string whose makespan matches the
 // shared evaluator and respects the lower bound, determinism under a fixed
-// seed, iteration/time budgets respected, OnProgress stopping the run, and
+// seed, iteration/time/no-improvement budgets respected, OnProgress
+// stopping the run, observation taps leaving the search untouched, and
 // context cancellation surfacing ctx.Err(). Schedule is a Budget loop
 // over the resumable Search API (one Budget iteration = one Search.Step),
 // so this suite is also the conformance bar for every engine behind Open;
@@ -132,6 +133,86 @@ func TestConformance(t *testing.T) {
 				}
 				if len(res.Trace) != calls {
 					t.Errorf("Trace has %d entries, OnProgress saw %d", len(res.Trace), calls)
+				}
+			})
+
+			// Observation taps must not perturb the search: every tap on
+			// at once leaves the outcome and the whole effort ledger
+			// identical to an unobserved run.
+			t.Run("observer-invariance", func(t *testing.T) {
+				b := scheduler.Budget{MaxIterations: 8}
+				plain, err := scheduler.MustGet(name, scheduler.WithSeed(1)).Schedule(context.Background(), w.Graph, w.System, b)
+				if err != nil {
+					t.Fatalf("Schedule: %v", err)
+				}
+				progressed, tapped := 0, 0
+				b.OnProgress = func(scheduler.Progress) bool { progressed++; return true }
+				s := scheduler.MustGet(name, scheduler.WithSeed(1), scheduler.WithTrace(),
+					scheduler.WithObserver(func(scheduler.Progress) { tapped++ }))
+				observed, err := s.Schedule(context.Background(), w.Graph, w.System, b)
+				if err != nil {
+					t.Fatalf("Schedule: %v", err)
+				}
+				assertSameOutcome(t, name, *observed, *plain)
+				if observed.Iterations != plain.Iterations || observed.Evaluations != plain.Evaluations ||
+					observed.DeltaEvaluations != plain.DeltaEvaluations || observed.GenesEvaluated != plain.GenesEvaluated {
+					t.Errorf("observed ledger %d/%d/%d/%d != unobserved %d/%d/%d/%d",
+						observed.Iterations, observed.Evaluations, observed.DeltaEvaluations, observed.GenesEvaluated,
+						plain.Iterations, plain.Evaluations, plain.DeltaEvaluations, plain.GenesEvaluated)
+				}
+				n := observed.Iterations
+				if progressed != n || tapped != n || len(observed.Trace) != n {
+					t.Errorf("taps saw %d progress / %d observer / %d trace entries, want %d each",
+						progressed, tapped, len(observed.Trace), n)
+				}
+			})
+
+			// The no-improvement criterion stops a run exactly where a
+			// hand-stepped twin asking the search's Stalled after every
+			// Step stops; a constructive heuristic finishes (and counts as
+			// stalled) after its single step.
+			t.Run("no-improvement", func(t *testing.T) {
+				const k, limit = 10, 100_000
+				b := scheduler.Budget{NoImprovement: k, MaxIterations: limit}
+				run := func() *scheduler.Result {
+					res, err := scheduler.MustGet(name, scheduler.WithSeed(1)).Schedule(context.Background(), w.Graph, w.System, b)
+					if err != nil {
+						t.Fatalf("Schedule: %v", err)
+					}
+					return res
+				}
+				res := run()
+				if again := run(); again.Iterations != res.Iterations {
+					t.Errorf("repeated runs stopped after %d and %d iterations", res.Iterations, again.Iterations)
+				} else {
+					assertSameOutcome(t, name+" repeated", *again, *res)
+				}
+
+				s, err := scheduler.Open(name, w.Graph, w.System, scheduler.WithSeed(1))
+				if err != nil {
+					t.Fatalf("Open: %v", err)
+				}
+				st, ok := s.(interface{ Stalled(int) bool })
+				if !ok {
+					t.Fatal("registry search has no Stalled method")
+				}
+				steps, stalled := 0, false
+				for more := true; more && !stalled && steps < limit; {
+					_, more = s.Step(context.Background())
+					steps++
+					stalled = st.Stalled(k)
+				}
+				if res.Iterations != steps {
+					t.Errorf("Drive stopped after %d iterations, the hand-stepped twin after %d", res.Iterations, steps)
+				}
+				assertSameOutcome(t, name+" twin", s.Best(), *res)
+
+				if info.Kind == scheduler.Constructive {
+					if steps != 1 || !stalled {
+						t.Errorf("constructive run took %d steps (stalled %v), want 1 step, stalled", steps, stalled)
+					}
+				} else if res.Iterations < k || res.Iterations >= limit {
+					t.Errorf("Iterations = %d, want a stop in [%d, %d)", res.Iterations, k, limit)
 				}
 			})
 

@@ -16,10 +16,10 @@ import (
 )
 
 // The equivalence guard: for a fixed seed and workload, every wrapped
-// algorithm must return the byte-identical best string and makespan its
-// package-level Run (or constructor) returns when called directly with
-// the same configuration. The registry is plumbing, not a fork of the
-// algorithms.
+// algorithm must return the byte-identical best string, makespan,
+// iteration count and evaluation count its package-level engine (or
+// constructor) returns when stepped directly with the same configuration.
+// The registry is plumbing, not a fork of the algorithms.
 
 func equivalenceWorkload() *workload.Workload {
 	return workload.MustGenerate(workload.Params{
@@ -36,6 +36,22 @@ func mustSchedule(t *testing.T, name string, b scheduler.Budget, opts ...schedul
 		t.Fatalf("Schedule(%s): %v", name, err)
 	}
 	return res
+}
+
+// stepEngine steps an engine n times: the registry-free twin of Drive's loop.
+func stepEngine[S any](n int, step func() S) {
+	for i := 0; i < n; i++ {
+		step()
+	}
+}
+
+// assertLedger compares the iteration and evaluation counts of a wrapped
+// run against the directly stepped engine.
+func assertLedger(t *testing.T, name string, gotIters int, gotEvals uint64, wantIters int, wantEvals uint64) {
+	t.Helper()
+	if gotIters != wantIters || gotEvals != wantEvals {
+		t.Errorf("%s: iterations/evaluations %d/%d != direct %d/%d", name, gotIters, gotEvals, wantIters, wantEvals)
+	}
 }
 
 func assertSame(t *testing.T, name string, gotBest schedule.String, gotMs float64, wantBest schedule.String, wantMs float64) {
@@ -55,30 +71,27 @@ func assertSame(t *testing.T, name string, gotBest schedule.String, gotMs float6
 
 func TestSEEquivalence(t *testing.T) {
 	w := equivalenceWorkload()
-	direct, err := core.Run(w.Graph, w.System, core.Options{
-		Bias: -0.1, Y: 3, Seed: 9, MaxIterations: 60,
-	})
+	e, err := core.NewEngine(w.Graph, w.System, core.Options{Bias: -0.1, Y: 3, Seed: 9})
 	if err != nil {
-		t.Fatalf("core.Run: %v", err)
+		t.Fatalf("core.NewEngine: %v", err)
 	}
+	stepEngine(60, e.Step)
+	direct := e.Result()
 	res := mustSchedule(t, "se", scheduler.Budget{MaxIterations: 60},
 		scheduler.WithBias(-0.1), scheduler.WithY(3), scheduler.WithSeed(9))
 	assertSame(t, "se", res.Best, res.Makespan, direct.Best, direct.BestMakespan)
-	if res.Iterations != direct.Iterations || res.Evaluations != direct.Evaluations {
-		t.Errorf("se: iterations/evaluations %d/%d != direct %d/%d",
-			res.Iterations, res.Evaluations, direct.Iterations, direct.Evaluations)
-	}
+	assertLedger(t, "se", res.Iterations, res.Evaluations, direct.Iterations, direct.Evaluations)
 }
 
 func TestSEEquivalenceWithObservers(t *testing.T) {
 	// Tracing and progress sampling must not perturb the search.
 	w := equivalenceWorkload()
-	direct, err := core.Run(w.Graph, w.System, core.Options{
-		Y: 3, Seed: 9, MaxIterations: 40,
-	})
+	e, err := core.NewEngine(w.Graph, w.System, core.Options{Y: 3, Seed: 9})
 	if err != nil {
-		t.Fatalf("core.Run: %v", err)
+		t.Fatalf("core.NewEngine: %v", err)
 	}
+	stepEngine(40, e.Step)
+	direct := e.Result()
 	res := mustSchedule(t, "se", scheduler.Budget{
 		MaxIterations: 40,
 		OnProgress:    func(scheduler.Progress) bool { return true },
@@ -91,19 +104,16 @@ func TestSEEquivalenceWithObservers(t *testing.T) {
 
 func TestSEShardEquivalence(t *testing.T) {
 	w := equivalenceWorkload()
-	direct, err := shard.Run(w.Graph, w.System, shard.Options{
-		Shards: 3, Bias: -0.1, Y: 3, Seed: 9, MaxIterations: 40,
-	})
+	e, err := shard.NewEngine(w.Graph, w.System, shard.Options{Shards: 3, Bias: -0.1, Y: 3, Seed: 9})
 	if err != nil {
-		t.Fatalf("shard.Run: %v", err)
+		t.Fatalf("shard.NewEngine: %v", err)
 	}
+	stepEngine(40, e.Step)
+	direct := e.Result()
 	res := mustSchedule(t, "se-shard", scheduler.Budget{MaxIterations: 40},
 		scheduler.WithShards(3), scheduler.WithBias(-0.1), scheduler.WithY(3), scheduler.WithSeed(9))
 	assertSame(t, "se-shard", res.Best, res.Makespan, direct.Best, direct.BestMakespan)
-	if res.Iterations != direct.Iterations || res.Evaluations != direct.Evaluations {
-		t.Errorf("se-shard: iterations/evaluations %d/%d != direct %d/%d",
-			res.Iterations, res.Evaluations, direct.Iterations, direct.Evaluations)
-	}
+	assertLedger(t, "se-shard", res.Iterations, res.Evaluations, direct.Iterations, direct.Evaluations)
 }
 
 func TestSEShardSingleShardMatchesSerialSE(t *testing.T) {
@@ -124,45 +134,45 @@ func TestSEShardSingleShardMatchesSerialSE(t *testing.T) {
 
 func TestGAEquivalence(t *testing.T) {
 	w := equivalenceWorkload()
-	direct, err := ga.Run(w.Graph, w.System, ga.Options{
-		PopulationSize: 60, CrossoverRate: 0.4, MutationRate: 0.05,
-		Seed: 9, MaxGenerations: 30,
+	e, err := ga.NewEngine(w.Graph, w.System, ga.Options{
+		PopulationSize: 60, CrossoverRate: 0.4, MutationRate: 0.05, Seed: 9,
 	})
 	if err != nil {
-		t.Fatalf("ga.Run: %v", err)
+		t.Fatalf("ga.NewEngine: %v", err)
 	}
+	stepEngine(30, e.Step)
+	direct := e.Result()
 	res := mustSchedule(t, "ga", scheduler.Budget{MaxIterations: 30},
 		scheduler.WithPopulation(60), scheduler.WithCrossover(0.4),
 		scheduler.WithMutation(0.05), scheduler.WithSeed(9))
 	assertSame(t, "ga", res.Best, res.Makespan, direct.Best, direct.BestMakespan)
-	if res.Iterations != direct.Generations {
-		t.Errorf("ga: iterations %d != direct generations %d", res.Iterations, direct.Generations)
-	}
+	assertLedger(t, "ga", res.Iterations, res.Evaluations, direct.Generations, direct.Evaluations)
 }
 
 func TestSAEquivalence(t *testing.T) {
 	w := equivalenceWorkload()
-	n := w.Graph.NumTasks()
-	direct, err := sa.Run(w.Graph, w.System, sa.Options{
-		Seed: 9, MaxMoves: 50 * n,
-	})
+	e, err := sa.NewEngine(w.Graph, w.System, sa.Options{Seed: 9})
 	if err != nil {
-		t.Fatalf("sa.Run: %v", err)
+		t.Fatalf("sa.NewEngine: %v", err)
 	}
+	stepEngine(50, e.Step)
+	direct := e.Result()
 	res := mustSchedule(t, "sa", scheduler.Budget{MaxIterations: 50}, scheduler.WithSeed(9))
 	assertSame(t, "sa", res.Best, res.Makespan, direct.Best, direct.BestMakespan)
+	assertLedger(t, "sa", res.Iterations, res.Evaluations, direct.Blocks, direct.Evaluations)
 }
 
 func TestTabuEquivalence(t *testing.T) {
 	w := equivalenceWorkload()
-	direct, err := tabu.Run(w.Graph, w.System, tabu.Options{
-		Seed: 9, MaxIterations: 50,
-	})
+	e, err := tabu.NewEngine(w.Graph, w.System, tabu.Options{Seed: 9})
 	if err != nil {
-		t.Fatalf("tabu.Run: %v", err)
+		t.Fatalf("tabu.NewEngine: %v", err)
 	}
+	stepEngine(50, e.Step)
+	direct := e.Result()
 	res := mustSchedule(t, "tabu", scheduler.Budget{MaxIterations: 50}, scheduler.WithSeed(9))
 	assertSame(t, "tabu", res.Best, res.Makespan, direct.Best, direct.BestMakespan)
+	assertLedger(t, "tabu", res.Iterations, res.Evaluations, direct.Iterations, direct.Evaluations)
 }
 
 func TestConstructiveEquivalence(t *testing.T) {

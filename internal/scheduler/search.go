@@ -238,8 +238,9 @@ func SnapshotAlgorithm(snapshot []byte) (string, error) {
 
 // Drive runs s to the budget: the same loop Scheduler.Schedule uses, in
 // its exported form so callers that Open or Restore a Search themselves
-// (cmd/mshc's -resume, the runner's races) finish it under standard
-// Budget semantics. Cancelling ctx stops the loop at the next iteration
+// (cmd/mshc's -resume, the runner's races, the serving layer's step
+// requests) finish it under standard Budget semantics. It is the one
+// budget loop over a Search. Cancelling ctx stops the loop at the next iteration
 // boundary and returns the best-so-far Result alongside ctx.Err(). The
 // caller must bound the loop (a Budget criterion or a cancellable ctx):
 // an unbounded metaheuristic steps forever.

@@ -14,29 +14,14 @@ import (
 // more requests (each is a fresh scheduling opportunity).
 const MaxStepsPerRequest = 10_000
 
-// searchOptions maps a request's tunables onto scheduler options — shared
-// by Run and OpenSearch so a served search is configured exactly like a
-// served one-shot run. The two observation options ride along on every
-// search: the session's Progress tap and the manager's registry (which
-// se-dist's coordinator exports its transport instruments into).
+// searchOptions configures a served search: the request's own options
+// (RunRequest.Options) plus the session-specific ones — shared by Run and
+// OpenSearch so a served search is configured exactly like a served
+// one-shot run. The two observation options ride along on every search:
+// the session's Progress tap and the manager's registry (which se-dist's
+// coordinator exports its transport instruments into).
 func (m *Manager) searchOptions(req RunRequest, s *Session) []scheduler.Option {
-	opts := []scheduler.Option{
-		scheduler.WithSeed(req.Seed),
-		scheduler.WithWorkers(req.Workers),
-		scheduler.WithBias(req.Bias),
-		scheduler.WithY(req.Y),
-		scheduler.WithPopulation(req.Population),
-		scheduler.WithShards(req.Shards),
-		scheduler.WithRoundBatch(req.RoundBatch),
-		scheduler.WithObserver(s.observe),
-		scheduler.WithMetrics(m.reg),
-	}
-	if len(req.WorkerURLs) > 0 {
-		opts = append(opts, scheduler.WithWorkerURLs(req.WorkerURLs...))
-	}
-	if req.FullEval {
-		opts = append(opts, scheduler.WithFullEval())
-	}
+	opts := append(req.Options(), scheduler.WithObserver(s.observe), scheduler.WithMetrics(m.reg))
 	if req.FromBase {
 		opts = append(opts, scheduler.WithInitial(s.delta.Base().Clone()))
 	}
@@ -116,27 +101,21 @@ func (m *Manager) StepSearch(id string, req StepRequest) (StepResponse, error) {
 		if steps > MaxStepsPerRequest {
 			steps = MaxStepsPerRequest
 		}
-		for i := 0; i < steps; i++ {
-			if searchDone(s.search) {
-				// Nothing left to execute: report Done without
-				// fabricating an iteration.
-				out.Done = true
-				break
-			}
-			// The session's context bounds the loop: tearing the session
-			// down stops the stepping at the next iteration boundary.
-			pr, more := s.search.Step(s.ctx)
-			if s.ctx.Err() != nil {
-				return fmt.Errorf("serve: session %q %w", s.id, ErrClosed)
-			}
-			out.Performed++
-			out.Progress = newProgressEvent(pr)
-			if !more {
-				out.Done = true
-				break
-			}
+		// The session's context bounds the run too: tearing the session
+		// down stops the stepping at the next iteration boundary. An
+		// exhausted search executes nothing and reports Done.
+		res, err := scheduler.Drive(s.ctx, s.search, scheduler.Budget{
+			MaxIterations: steps,
+			OnProgress: func(pr scheduler.Progress) bool {
+				out.Performed++
+				out.Progress = newProgressEvent(pr)
+				return true
+			},
+		})
+		if err != nil || s.ctx.Err() != nil {
+			return fmt.Errorf("serve: session %q %w", s.id, ErrClosed)
 		}
-		res := s.search.Best()
+		out.Done = searchDone(s.search)
 		out.BestMakespan = res.Makespan
 		if req.Snapshot {
 			data, err := s.search.Snapshot()

@@ -135,6 +135,44 @@ func TestShardedRunMatchesOffline(t *testing.T) {
 	}
 }
 
+// TestNoImprovementRunMatchesOfflineDrive extends the determinism
+// contract to the stagnation criterion: a session run bounded by
+// no_improvement stops at the same iteration, with the same result, as an
+// offline search driven to the same Budget.
+func TestNoImprovementRunMatchesOfflineDrive(t *testing.T) {
+	mgr := serve.NewManager(serve.Options{})
+	t.Cleanup(mgr.Close)
+	p := testParams(11)
+	w := workload.MustGenerate(p)
+	info, err := mgr.Create(serve.CreateSessionRequest{Params: &p})
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	for _, algo := range []string{"se", "ga", "sa", "tabu"} {
+		req := serve.RunRequest{Algorithm: algo, Seed: 3, NoImprovement: 6}
+		search, err := scheduler.Open(algo, w.Graph, w.System, req.Options()...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := scheduler.Drive(context.Background(), search, scheduler.Budget{NoImprovement: 6})
+		if err != nil {
+			t.Fatalf("offline %s: %v", algo, err)
+		}
+		got, err := mgr.Run(context.Background(), info.ID, req, nil)
+		if err != nil {
+			t.Fatalf("Run %s: %v", algo, err)
+		}
+		if got.Iterations != want.Iterations || got.Makespan != want.Makespan || got.Solution != want.Best.Format() {
+			t.Errorf("%s: served run (%d iterations, %v) differs from offline Drive (%d, %v)",
+				algo, got.Iterations, got.Makespan, want.Iterations, want.Makespan)
+		}
+		if got.Evaluations != want.Evaluations || got.GenesEvaluated != want.GenesEvaluated {
+			t.Errorf("%s: served counters (%d, %d) differ from offline (%d, %d)",
+				algo, got.Evaluations, got.GenesEvaluated, want.Evaluations, want.GenesEvaluated)
+		}
+	}
+}
+
 // TestStreamedRunMatchesUnstreamed: streamed progress observation must not
 // change what the algorithm computes.
 func TestStreamedRunMatchesUnstreamed(t *testing.T) {

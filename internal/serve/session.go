@@ -485,11 +485,7 @@ func (m *Manager) Run(ctx context.Context, id string, req RunRequest, onProgress
 		stop := context.AfterFunc(s.ctx, cancel)
 		defer stop()
 
-		b := scheduler.Budget{
-			MaxIterations: req.MaxIterations,
-			TimeBudget:    time.Duration(req.TimeBudgetMS * float64(time.Millisecond)),
-			NoImprovement: req.NoImprovement,
-		}
+		b := req.Budget()
 		if onProgress != nil {
 			b.OnProgress = func(p scheduler.Progress) bool {
 				onProgress(newProgressEvent(p))

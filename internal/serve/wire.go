@@ -115,6 +115,39 @@ type RunRequest struct {
 	FromBase bool `json:"from_base,omitempty"`
 }
 
+// Budget maps the request's stopping criteria onto a scheduler Budget.
+// Served runs and cmd/mshc's in-process runs both use it, so they stop
+// under the same criteria.
+func (r RunRequest) Budget() scheduler.Budget {
+	return scheduler.Budget{
+		MaxIterations: r.MaxIterations,
+		TimeBudget:    time.Duration(r.TimeBudgetMS * float64(time.Millisecond)),
+		NoImprovement: r.NoImprovement,
+	}
+}
+
+// Options maps the request's algorithm tunables onto scheduler options.
+// Served runs append their session-specific options to these, so a
+// served search is configured exactly like an offline one.
+func (r RunRequest) Options() []scheduler.Option {
+	opts := []scheduler.Option{
+		scheduler.WithSeed(r.Seed),
+		scheduler.WithWorkers(r.Workers),
+		scheduler.WithBias(r.Bias),
+		scheduler.WithY(r.Y),
+		scheduler.WithPopulation(r.Population),
+		scheduler.WithShards(r.Shards),
+		scheduler.WithRoundBatch(r.RoundBatch),
+	}
+	if len(r.WorkerURLs) > 0 {
+		opts = append(opts, scheduler.WithWorkerURLs(r.WorkerURLs...))
+	}
+	if r.FullEval {
+		opts = append(opts, scheduler.WithFullEval())
+	}
+	return opts
+}
+
 // Result is the uniform wire form of a scheduler.Result — the same schema
 // whether it came over HTTP from mshd or from an offline `mshc -json` run.
 type Result struct {

@@ -25,17 +25,16 @@
 //
 // The sweep is organised as a resumable Engine: one Step advances every
 // region by one SE generation (in parallel), and Result merges and
-// reconciles the regions' current bests. Run wraps the Engine in a budget
-// loop; internal/scheduler exposes it through the registry's
-// Open/Step/Snapshot/Restore API, which is also the seam for dispatching
-// region engines to remote workers — a region's Snapshot is a complete,
-// portable description of its sweep.
+// reconciles the regions' current bests. internal/scheduler exposes it
+// through the registry's Open/Step/Snapshot/Restore API and drives it
+// with scheduler.Drive; that API is also the seam for dispatching region
+// engines to remote workers — a region's Snapshot is a complete, portable
+// description of its sweep.
 package shard
 
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -48,10 +47,9 @@ import (
 // Options.ReconcileSweeps is zero.
 const DefaultReconcileSweeps = 1
 
-// Options configures one sharded SE run. Like core.Options, at least one
-// stopping criterion (MaxIterations, TimeBudget, NoImprovement or a
-// false-returning OnIteration) must be set for Run; it bounds every
-// region's sweep.
+// Options configures one sharded SE engine. Like core.Options, it carries
+// no stopping criterion: the caller's Step loop bounds every region's
+// sweep (scheduler.Drive, for registry searches).
 type Options struct {
 	// Shards is the requested region count. 0 picks it adaptively from
 	// the DAG's depth, the candidate partitions' residual coupling and
@@ -89,33 +87,6 @@ type Options struct {
 	// order is a topological order of the induced subgraph. It must be
 	// valid for the full graph/system.
 	Initial schedule.String
-
-	// MaxIterations, TimeBudget and NoImprovement bound each region's
-	// sweep, with core.Options semantics. Regions run concurrently, so
-	// TimeBudget is wall-clock for the whole fan-out, not a sum.
-	MaxIterations int
-	TimeBudget    time.Duration
-	NoImprovement int
-
-	// OnIteration, when non-nil, observes every region generation. Calls
-	// are serialized across regions; returning false stops all regions at
-	// their next generation boundary, after which the merged best-so-far
-	// is still reconciled and returned.
-	OnIteration func(RegionStats) bool
-}
-
-// RegionStats is one region generation's observation.
-type RegionStats struct {
-	// Region is the reporting region's index; Regions the region count.
-	Region  int
-	Regions int
-	// BestSoFar is the max over all regions' best region makespans seen
-	// so far — a coarse lower estimate of the merged schedule length
-	// (cross-region transfers can only push it up).
-	BestSoFar float64
-	// IterationStats is the region-local generation observation; its
-	// makespans refer to the region subproblem, not the whole DAG.
-	core.IterationStats
 }
 
 // RoundStats is one Engine.Step's observation: every live region advanced
@@ -132,10 +103,10 @@ type RoundStats struct {
 	// CurrentMax is the max over the live regions' current makespans —
 	// like BestSoFar, a coarse lower estimate of the merged length.
 	CurrentMax float64
-	// BestSoFar is the max over all regions' best region makespans so far.
+	// BestSoFar is the max over all regions' best region makespans so far
+	// — a coarse lower estimate of the merged schedule length
+	// (cross-region transfers can only push it up).
 	BestSoFar float64
-	// Stopped reports that Options.OnIteration returned false this round.
-	Stopped bool
 	// Elapsed is accumulated in-Step wall-clock time.
 	Elapsed time.Duration
 }
@@ -161,7 +132,7 @@ type Result struct {
 	Evaluations      uint64
 	DeltaEvaluations uint64
 	GenesEvaluated   uint64
-	// Elapsed is the total wall-clock duration of the run.
+	// Elapsed is the accumulated in-Step wall-clock time.
 	Elapsed time.Duration
 }
 
@@ -198,23 +169,17 @@ type Engine struct {
 	stalled    []bool
 	regionBest []float64
 	rounds     int
-	// stopped is set by region goroutines (observer returned false) and
-	// read lock-free at the top of every dispatch iteration.
-	stopped atomic.Bool
-	elapsed time.Duration
+	elapsed    time.Duration
 
 	// Per-round scratch, hoisted out of Step so a long sweep allocates
 	// nothing per round.
 	roundStats []core.IterationStats
 	roundLive  []bool
 	sem        chan struct{}
-
-	observe func(int, core.IterationStats) bool
 }
 
 // NewEngine partitions g and builds one SE engine per region, ready to
-// Step. Unlike Run, no stopping criterion is required: the caller's Step
-// loop bounds the sweep.
+// Step. The caller's Step loop bounds the sweep.
 func NewEngine(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine, error) {
 	if g.NumTasks() != sys.NumTasks() {
 		return nil, fmt.Errorf("shard: graph has %d tasks but system is sized for %d", g.NumTasks(), sys.NumTasks())
@@ -250,7 +215,6 @@ func newEngineResolved(g *taskgraph.Graph, sys *platform.System, opts Options) (
 		regionBest: make([]float64, k),
 		roundStats: make([]core.IterationStats, k),
 		roundLive:  make([]bool, k),
-		observe:    newRegionObserver(opts.OnIteration, k),
 	}
 	if opts.MaxParallel > 0 && opts.MaxParallel < k {
 		e.sem = make(chan struct{}, opts.MaxParallel)
@@ -333,12 +297,6 @@ func (e *Engine) Iterations() int {
 	return max
 }
 
-// Elapsed returns the accumulated in-Step wall-clock time.
-func (e *Engine) Elapsed() time.Duration { return e.elapsed }
-
-// Stopped reports whether Options.OnIteration has returned false.
-func (e *Engine) Stopped() bool { return e.stopped.Load() }
-
 // MarkStalled flags every region whose sweep has gone noImprove
 // generations without improving its region best — such regions sit out
 // subsequent Steps, preserving the per-region NoImprovement semantics of
@@ -361,9 +319,7 @@ func (e *Engine) MarkStalled(noImprove int) bool {
 
 // Step advances every live region by one SE generation, fanning the
 // regions out over goroutines (capped by Options.MaxParallel), and
-// returns the round's aggregated statistics. Region observations fire
-// serialized through Options.OnIteration exactly as Run's documentation
-// promises.
+// returns the round's aggregated statistics.
 func (e *Engine) Step() RoundStats {
 	start := time.Now()
 	k := len(e.engines)
@@ -376,10 +332,7 @@ func (e *Engine) Step() RoundStats {
 	sem := e.sem
 	var wg sync.WaitGroup
 	for r := range e.engines {
-		// e.stopped is written by region goroutines launched earlier in
-		// this loop (observer returned false); the atomic load makes the
-		// check one lock-free read per region instead of a lock round-trip.
-		if e.stalled[r] || e.stopped.Load() {
+		if e.stalled[r] {
 			continue
 		}
 		live[r] = true
@@ -390,16 +343,12 @@ func (e *Engine) Step() RoundStats {
 				sem <- struct{}{}
 				defer func() { <-sem }()
 			}
-			st := e.engines[r].Step()
-			stats[r] = st
-			if e.observe != nil && !e.observe(r, st) {
-				e.stopped.Store(true)
-			}
+			stats[r] = e.engines[r].Step()
 		}(r)
 	}
 	wg.Wait()
 
-	round := RoundStats{Round: e.rounds, Regions: k, Stopped: e.stopped.Load()}
+	round := RoundStats{Round: e.rounds, Regions: k}
 	for r := range e.engines {
 		if live[r] {
 			round.Live++
@@ -486,41 +435,7 @@ func (e *Engine) Result() *Result {
 	return out
 }
 
-// Run partitions g, sweeps every region in parallel and returns the
-// reconciled merged solution: a budget loop over an Engine, one parallel
-// round of region generations per Step.
-func Run(g *taskgraph.Graph, sys *platform.System, opts Options) (*Result, error) {
-	if opts.MaxIterations <= 0 && opts.TimeBudget <= 0 && opts.NoImprovement <= 0 && opts.OnIteration == nil {
-		return nil, fmt.Errorf("shard: no stopping criterion set (MaxIterations, TimeBudget, NoImprovement or OnIteration)")
-	}
-	e, err := NewEngine(g, sys, opts)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	for {
-		st := e.Step()
-		if st.Stopped {
-			break
-		}
-		if opts.MaxIterations > 0 && e.rounds >= opts.MaxIterations {
-			break
-		}
-		if opts.TimeBudget > 0 && time.Since(start) >= opts.TimeBudget {
-			break
-		}
-		if opts.NoImprovement > 0 && e.MarkStalled(opts.NoImprovement) {
-			break
-		}
-	}
-	res := e.Result()
-	res.Elapsed = time.Since(start)
-	return res, nil
-}
-
 // regionOptions builds region r's core.Options from the shard Options.
-// Stopping bounds are omitted: the Engine's Step loop bounds every
-// region's sweep externally.
 func regionOptions(opts Options, r int) core.Options {
 	return core.Options{
 		Bias:         opts.Bias,
@@ -529,38 +444,5 @@ func regionOptions(opts Options, r int) core.Options {
 		PerturbAfter: opts.PerturbAfter,
 		FullEval:     opts.FullEval,
 		Seed:         regionSeed(opts.Seed, r),
-	}
-}
-
-// newRegionObserver serializes region callbacks into the caller's
-// OnIteration and aggregates the coarse best-so-far estimate. It returns
-// nil when nothing observes the run.
-func newRegionObserver(onIteration func(RegionStats) bool, k int) func(int, core.IterationStats) bool {
-	if onIteration == nil {
-		return nil
-	}
-	var mu sync.Mutex
-	stopped := false
-	regionBest := make([]float64, k)
-	return func(r int, st core.IterationStats) bool {
-		mu.Lock()
-		defer mu.Unlock()
-		if stopped {
-			return false
-		}
-		if regionBest[r] == 0 || st.BestMakespan < regionBest[r] {
-			regionBest[r] = st.BestMakespan
-		}
-		agg := 0.0
-		for _, b := range regionBest {
-			if b > agg {
-				agg = b
-			}
-		}
-		if !onIteration(RegionStats{Region: r, Regions: k, BestSoFar: agg, IterationStats: st}) {
-			stopped = true
-			return false
-		}
-		return true
 	}
 }

@@ -15,6 +15,34 @@ func shardWorkload(tasks int, seed int64) *workload.Workload {
 	})
 }
 
+// run steps a fresh sharded engine n rounds and returns its merged,
+// reconciled result: Drive's loop at engine level.
+func run(t *testing.T, w *workload.Workload, opts Options, n int) *Result {
+	t.Helper()
+	e, err := NewEngine(w.Graph, w.System, opts)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	for i := 0; i < n; i++ {
+		e.Step()
+	}
+	return e.Result()
+}
+
+// runSE steps a fresh serial SE engine n generations and returns its
+// result.
+func runSE(t *testing.T, w *workload.Workload, opts core.Options, n int) *core.Result {
+	t.Helper()
+	e, err := core.NewEngine(w.Graph, w.System, opts)
+	if err != nil {
+		t.Fatalf("core.NewEngine: %v", err)
+	}
+	for i := 0; i < n; i++ {
+		e.Step()
+	}
+	return e.Result()
+}
+
 // TestSingleShardBitIdenticalToSerialSE is the differential guard of the
 // degenerate case: with one region the sharded runner must return exactly
 // what serial SE returns — same best string, makespan, iterations and
@@ -22,18 +50,8 @@ func shardWorkload(tasks int, seed int64) *workload.Workload {
 func TestSingleShardBitIdenticalToSerialSE(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		w := shardWorkload(40, seed)
-		direct, err := core.Run(w.Graph, w.System, core.Options{
-			Bias: -0.1, Y: 3, Seed: seed, MaxIterations: 40,
-		})
-		if err != nil {
-			t.Fatalf("core.Run: %v", err)
-		}
-		sharded, err := Run(w.Graph, w.System, Options{
-			Shards: 1, Bias: -0.1, Y: 3, Seed: seed, MaxIterations: 40,
-		})
-		if err != nil {
-			t.Fatalf("shard.Run: %v", err)
-		}
+		direct := runSE(t, w, core.Options{Bias: -0.1, Y: 3, Seed: seed}, 40)
+		sharded := run(t, w, Options{Shards: 1, Bias: -0.1, Y: 3, Seed: seed}, 40)
 		if sharded.Regions != 1 {
 			t.Fatalf("Regions = %d, want 1", sharded.Regions)
 		}
@@ -56,16 +74,8 @@ func TestSingleShardBitIdenticalToSerialSE(t *testing.T) {
 
 func TestShardedRunValidAndDeterministic(t *testing.T) {
 	w := shardWorkload(60, 11)
-	run := func() *Result {
-		res, err := Run(w.Graph, w.System, Options{
-			Shards: 4, Y: 3, Seed: 11, MaxIterations: 25,
-		})
-		if err != nil {
-			t.Fatalf("shard.Run: %v", err)
-		}
-		return res
-	}
-	a, b := run(), run()
+	opts := Options{Shards: 4, Y: 3, Seed: 11}
+	a, b := run(t, w, opts, 25), run(t, w, opts, 25)
 	if a.Regions < 2 {
 		t.Fatalf("Regions = %d, want a real multi-region run", a.Regions)
 	}
@@ -93,16 +103,10 @@ func TestShardedDeltaVsFullIdentical(t *testing.T) {
 	// The incremental engine must be invisible in sharded results too:
 	// regions and the reconciliation pass both have full-evaluation twins.
 	w := shardWorkload(50, 13)
-	opts := Options{Shards: 3, Y: 3, Seed: 5, MaxIterations: 20}
-	delta, err := Run(w.Graph, w.System, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := Options{Shards: 3, Y: 3, Seed: 5}
+	delta := run(t, w, opts, 20)
 	opts.FullEval = true
-	full, err := Run(w.Graph, w.System, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := run(t, w, opts, 20)
 	if delta.BestMakespan != full.BestMakespan {
 		t.Errorf("delta makespan %v != full %v", delta.BestMakespan, full.BestMakespan)
 	}
@@ -137,16 +141,12 @@ func TestReconciliationNeverViolatesPrecedence(t *testing.T) {
 			CCR:           rng.Float64(),
 			Seed:          rng.Int63(),
 		})
-		res, err := Run(w.Graph, w.System, Options{
+		res := run(t, w, Options{
 			Shards:          2 + rng.Intn(5),
 			Y:               1 + rng.Intn(3),
 			ReconcileSweeps: rng.Intn(3) - 1, // exercise none, default and 1
 			Seed:            rng.Int63(),
-			MaxIterations:   5 + rng.Intn(10),
-		})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		}, 5+rng.Intn(10))
 		if err := schedule.Validate(res.Best, w.Graph, w.System); err != nil {
 			t.Fatalf("trial %d: reconciled schedule violates precedence: %v", trial, err)
 		}
@@ -155,10 +155,7 @@ func TestReconciliationNeverViolatesPrecedence(t *testing.T) {
 
 func TestScheduleRepairIdentityOnValidStrings(t *testing.T) {
 	w := shardWorkload(40, 17)
-	res, err := core.Run(w.Graph, w.System, core.Options{Seed: 1, MaxIterations: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSE(t, w, core.Options{Seed: 1}, 5)
 	repaired := schedule.Repair(w.Graph, res.Best)
 	for i := range res.Best {
 		if repaired[i] != res.Best[i] {
@@ -170,10 +167,7 @@ func TestScheduleRepairIdentityOnValidStrings(t *testing.T) {
 func TestScheduleRepairFixesInvalidStrings(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	w := shardWorkload(40, 17)
-	res, err := core.Run(w.Graph, w.System, core.Options{Seed: 1, MaxIterations: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSE(t, w, core.Options{Seed: 1}, 5)
 	for trial := 0; trial < 50; trial++ {
 		// Shuffle segments of a valid string into an (almost surely)
 		// invalid order; repair must restore validity while preserving
@@ -190,39 +184,5 @@ func TestScheduleRepairFixesInvalidStrings(t *testing.T) {
 				t.Fatalf("trial %d: repair changed task %d's machine", trial, gene.Task)
 			}
 		}
-	}
-}
-
-func TestObserverStopsAllRegions(t *testing.T) {
-	w := shardWorkload(60, 11)
-	calls := 0
-	res, err := Run(w.Graph, w.System, Options{
-		Shards: 4, Seed: 1, MaxIterations: 10_000,
-		OnIteration: func(st RegionStats) bool {
-			calls++
-			if st.BestSoFar <= 0 {
-				t.Errorf("BestSoFar = %v, want > 0", st.BestSoFar)
-			}
-			return calls < 6
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iterations > 10 {
-		t.Errorf("observer stop left regions running: %d iterations", res.Iterations)
-	}
-	if err := schedule.Validate(res.Best, w.Graph, w.System); err != nil {
-		t.Fatalf("stopped run returned invalid best: %v", err)
-	}
-}
-
-func TestRunRejectsUnboundedAndBadOptions(t *testing.T) {
-	w := shardWorkload(30, 1)
-	if _, err := Run(w.Graph, w.System, Options{Shards: 2}); err == nil {
-		t.Error("Run accepted a run with no stopping criterion")
-	}
-	if _, err := Run(w.Graph, w.System, Options{Shards: -1, MaxIterations: 5}); err == nil {
-		t.Error("Run accepted negative Shards")
 	}
 }

@@ -22,8 +22,9 @@ import (
 	"repro/internal/xrand"
 )
 
-// Options configures one tabu-search run. At least one stopping criterion
-// (MaxIterations, TimeBudget or NoImprovement) must be set.
+// Options configures one tabu-search engine. Options carry no stopping
+// criterion: the caller's Step loop bounds the search (scheduler.Drive,
+// for registry searches).
 type Options struct {
 	// Tenure is how many iterations a moved task stays tabu
 	// (default: task count / 4, at least 2).
@@ -31,13 +32,6 @@ type Options struct {
 	// Neighborhood is the number of candidate moves sampled per iteration
 	// (default: the task count).
 	Neighborhood int
-	// MaxIterations stops the run after this many iterations (0 = none).
-	MaxIterations int
-	// TimeBudget stops the run once wall-clock time is exhausted (0 = none).
-	TimeBudget time.Duration
-	// NoImprovement stops after this many consecutive iterations without
-	// improving the best makespan (0 = disabled).
-	NoImprovement int
 	// Seed drives all randomness.
 	Seed int64
 	// Initial, when non-nil, is the starting solution (cloned).
@@ -46,10 +40,6 @@ type Options struct {
 	// sampled neighbour with a full pass. The search is byte-identical
 	// either way; this exists for ablations and differential tests.
 	FullEval bool
-	// OnIteration, when non-nil, is called after each iteration; returning
-	// false stops the run. It observes the run only — the random sequence
-	// is identical with or without it.
-	OnIteration func(IterationStats) bool
 }
 
 // IterationStats describes one tabu-search iteration.
@@ -112,9 +102,8 @@ type Engine struct {
 	pos     []int
 }
 
-// NewEngine validates opts and builds a ready-to-Step engine. Unlike Run,
-// no stopping criterion is required: the caller's Step loop bounds the
-// search.
+// NewEngine validates opts and builds a ready-to-Step engine. The
+// caller's Step loop bounds the search.
 func NewEngine(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine, error) {
 	e, err := newShell(g, sys, opts)
 	if err != nil {
@@ -179,17 +168,10 @@ func newShell(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine, 
 	return e, nil
 }
 
-// Iterations returns the number of completed iterations.
-func (e *Engine) Iterations() int { return e.iter }
-
 // SinceImproved returns the count of consecutive completed iterations
-// without a best-makespan improvement — the quantity
-// Options.NoImprovement bounds.
+// without a best-makespan improvement — the quantity a Budget's
+// no-improvement criterion bounds.
 func (e *Engine) SinceImproved() int { return e.sinceImproved }
-
-// Elapsed returns the accumulated in-Step wall-clock time, including time
-// accumulated before a snapshot/restore cycle.
-func (e *Engine) Elapsed() time.Duration { return e.elapsed }
 
 // Step runs one tabu iteration — sample the neighbourhood, apply the best
 // admissible move, update the tabu list — and returns the iteration's
@@ -307,35 +289,4 @@ func (e *Engine) counts() schedule.EvalCounts {
 		counts = counts.Add(e.inc.Counts())
 	}
 	return counts
-}
-
-// Run executes tabu search on graph g over system sys: a budget loop over
-// an Engine, one iteration per Step.
-func Run(g *taskgraph.Graph, sys *platform.System, opts Options) (*Result, error) {
-	if opts.MaxIterations <= 0 && opts.TimeBudget <= 0 && opts.NoImprovement <= 0 && opts.OnIteration == nil {
-		return nil, fmt.Errorf("tabu: no stopping criterion set (MaxIterations, TimeBudget, NoImprovement or OnIteration)")
-	}
-	e, err := NewEngine(g, sys, opts)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	for {
-		st := e.Step()
-		if opts.OnIteration != nil && !opts.OnIteration(st) {
-			break
-		}
-		if opts.MaxIterations > 0 && e.iter >= opts.MaxIterations {
-			break
-		}
-		if opts.TimeBudget > 0 && time.Since(start) >= opts.TimeBudget {
-			break
-		}
-		if opts.NoImprovement > 0 && e.sinceImproved >= opts.NoImprovement {
-			break
-		}
-	}
-	res := e.Result()
-	res.Elapsed = time.Since(start)
-	return res, nil
 }

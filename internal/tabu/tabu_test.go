@@ -1,11 +1,13 @@
 package tabu_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/schedule"
+	"repro/internal/scheduler"
 	"repro/internal/tabu"
 	"repro/internal/workload"
 )
@@ -16,12 +18,33 @@ func smallWorkload() *workload.Workload {
 	})
 }
 
+// run steps a fresh engine n iterations and returns its result: Drive's
+// loop at engine level.
+func run(t *testing.T, w *workload.Workload, opts tabu.Options, n int) *tabu.Result {
+	t.Helper()
+	e, err := tabu.NewEngine(w.Graph, w.System, opts)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	for i := 0; i < n; i++ {
+		e.Step()
+	}
+	return e.Result()
+}
+
+// scheduleTabu runs the registry's tabu with the given seed on w under b.
+func scheduleTabu(t *testing.T, w *workload.Workload, seed int64, b scheduler.Budget) *scheduler.Result {
+	t.Helper()
+	res, err := scheduler.MustGet("tabu", scheduler.WithSeed(seed)).Schedule(context.Background(), w.Graph, w.System, b)
+	if err != nil {
+		t.Fatalf("Schedule: %v", err)
+	}
+	return res
+}
+
 func TestRunReturnsValidSolution(t *testing.T) {
 	w := smallWorkload()
-	res, err := tabu.Run(w.Graph, w.System, tabu.Options{MaxIterations: 300, Seed: 1})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res := run(t, w, tabu.Options{Seed: 1}, 300)
 	if err := schedule.Validate(res.Best, w.Graph, w.System); err != nil {
 		t.Fatalf("tabu returned invalid solution: %v", err)
 	}
@@ -37,10 +60,7 @@ func TestRunImproves(t *testing.T) {
 		initial[i] = schedule.Gene{Task: tk, Machine: 0}
 	}
 	initMs := schedule.NewEvaluator(w.Graph, w.System).Makespan(initial)
-	res, err := tabu.Run(w.Graph, w.System, tabu.Options{MaxIterations: 400, Seed: 1, Initial: initial})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res := run(t, w, tabu.Options{Seed: 1, Initial: initial}, 400)
 	if res.BestMakespan >= initMs {
 		t.Errorf("tabu did not improve: best %v, initial %v", res.BestMakespan, initMs)
 	}
@@ -49,10 +69,7 @@ func TestRunImproves(t *testing.T) {
 func TestRunRespectsLowerBound(t *testing.T) {
 	w := smallWorkload()
 	lb := schedule.LowerBound(w.Graph, w.System)
-	res, err := tabu.Run(w.Graph, w.System, tabu.Options{MaxIterations: 200, Seed: 2})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res := run(t, w, tabu.Options{Seed: 2}, 200)
 	if res.BestMakespan < lb-1e-9 {
 		t.Errorf("best %v below lower bound %v", res.BestMakespan, lb)
 	}
@@ -63,15 +80,8 @@ func TestRunRespectsLowerBound(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	w := smallWorkload()
-	opts := tabu.Options{MaxIterations: 150, Seed: 9}
-	a, err := tabu.Run(w.Graph, w.System, opts)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	b, err := tabu.Run(w.Graph, w.System, opts)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	a := run(t, w, tabu.Options{Seed: 9}, 150)
+	b := run(t, w, tabu.Options{Seed: 9}, 150)
 	if a.BestMakespan != b.BestMakespan {
 		t.Errorf("same seed diverged: %v vs %v", a.BestMakespan, b.BestMakespan)
 	}
@@ -80,10 +90,7 @@ func TestRunDeterministic(t *testing.T) {
 func TestTimeBudgetStops(t *testing.T) {
 	w := smallWorkload()
 	start := time.Now()
-	_, err := tabu.Run(w.Graph, w.System, tabu.Options{TimeBudget: 50 * time.Millisecond, Seed: 1})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	scheduleTabu(t, w, 1, scheduler.Budget{TimeBudget: 50 * time.Millisecond})
 	if time.Since(start) > time.Second {
 		t.Error("TimeBudget overshot grossly")
 	}
@@ -91,46 +98,33 @@ func TestTimeBudgetStops(t *testing.T) {
 
 func TestNoImprovementStops(t *testing.T) {
 	w := smallWorkload()
-	res, err := tabu.Run(w.Graph, w.System, tabu.Options{NoImprovement: 50, Seed: 1})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if res.Iterations == 0 {
-		t.Error("no iterations executed")
+	res := scheduleTabu(t, w, 1, scheduler.Budget{NoImprovement: 50, MaxIterations: 100000})
+	if res.Iterations < 50 || res.Iterations >= 100000 {
+		t.Errorf("Iterations = %d, want a stop in [50, 100000)", res.Iterations)
 	}
 }
 
 func TestOptionErrors(t *testing.T) {
 	w := smallWorkload()
-	cases := []struct {
-		name string
-		opts tabu.Options
-		want string
-	}{
-		{"no stop", tabu.Options{}, "stopping criterion"},
-		{"bad initial", tabu.Options{MaxIterations: 1, Initial: schedule.String{{Task: 0, Machine: 0}}}, "Initial"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := tabu.Run(w.Graph, w.System, tc.opts)
-			if err == nil {
-				t.Fatal("Run accepted invalid options")
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("error = %v, want mentioning %q", err, tc.want)
-			}
-		})
-	}
+	t.Run("no stop", func(t *testing.T) {
+		_, err := scheduler.MustGet("tabu").Schedule(context.Background(), w.Graph, w.System, scheduler.Budget{})
+		if err == nil || !strings.Contains(err.Error(), "stopping criterion") {
+			t.Errorf("unbounded run: error = %v, want a missing stopping criterion", err)
+		}
+	})
+	t.Run("bad initial", func(t *testing.T) {
+		_, err := tabu.NewEngine(w.Graph, w.System, tabu.Options{Initial: schedule.String{{Task: 0, Machine: 0}}})
+		if err == nil || !strings.Contains(err.Error(), "Initial") {
+			t.Errorf("bad initial: error = %v, want mentioning %q", err, "Initial")
+		}
+	})
 }
 
 func TestTenureBlocksImmediateRevisit(t *testing.T) {
 	// With an enormous tenure every task moves at most once; the run must
 	// still terminate and stay valid.
 	w := smallWorkload()
-	res, err := tabu.Run(w.Graph, w.System, tabu.Options{MaxIterations: 100, Tenure: 1 << 30, Seed: 3})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res := run(t, w, tabu.Options{Tenure: 1 << 30, Seed: 3}, 100)
 	if err := schedule.Validate(res.Best, w.Graph, w.System); err != nil {
 		t.Fatalf("invalid: %v", err)
 	}
@@ -139,24 +133,18 @@ func TestTenureBlocksImmediateRevisit(t *testing.T) {
 func TestOnIterationObservesAndStops(t *testing.T) {
 	w := smallWorkload()
 	var calls int
-	res, err := tabu.Run(w.Graph, w.System, tabu.Options{
-		Seed: 1,
-		OnIteration: func(st tabu.IterationStats) bool {
-			if st.Iteration != calls {
-				t.Errorf("Iteration = %d, want %d", st.Iteration, calls)
-			}
-			if st.BestMakespan <= 0 {
-				t.Errorf("stats not populated: %+v", st)
-			}
-			calls++
-			return calls < 6
-		},
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res := scheduleTabu(t, w, 1, scheduler.Budget{OnProgress: func(p scheduler.Progress) bool {
+		if p.Iteration != calls {
+			t.Errorf("Iteration = %d, want %d", p.Iteration, calls)
+		}
+		if p.Best <= 0 {
+			t.Errorf("progress not populated: %+v", p)
+		}
+		calls++
+		return calls < 6
+	}})
 	if calls != 6 {
-		t.Errorf("OnIteration called %d times, want 6", calls)
+		t.Errorf("OnProgress called %d times, want 6", calls)
 	}
 	if res.Iterations != 6 {
 		t.Errorf("Iterations = %d, want 6", res.Iterations)
@@ -168,19 +156,13 @@ func TestOnIterationObservesAndStops(t *testing.T) {
 
 func TestOnIterationDoesNotPerturbSearch(t *testing.T) {
 	w := smallWorkload()
-	plain, err := tabu.Run(w.Graph, w.System, tabu.Options{Seed: 5, MaxIterations: 40})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	observed, err := tabu.Run(w.Graph, w.System, tabu.Options{
-		Seed: 5, MaxIterations: 40,
-		OnIteration: func(tabu.IterationStats) bool { return true },
+	plain := scheduleTabu(t, w, 5, scheduler.Budget{MaxIterations: 40})
+	observed := scheduleTabu(t, w, 5, scheduler.Budget{
+		MaxIterations: 40,
+		OnProgress:    func(scheduler.Progress) bool { return true },
 	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if plain.BestMakespan != observed.BestMakespan {
-		t.Errorf("observer changed the search: %v vs %v", plain.BestMakespan, observed.BestMakespan)
+	if plain.Makespan != observed.Makespan {
+		t.Errorf("observer changed the search: %v vs %v", plain.Makespan, observed.Makespan)
 	}
 	for i := range plain.Best {
 		if plain.Best[i] != observed.Best[i] {
